@@ -16,8 +16,7 @@ from typing import Optional
 from .config import PipelineConfig, load_config
 from .decontam import build_index_from_dir, is_contaminated
 from .errors import ConfigDriftError, QAForgeError
-from .gateway import Gateway, HTTPProvider, MockProvider, MockScript
-from .pipeline import dataset_stats, resume_run, run_pipeline
+from .pipeline import build_gateway, dataset_stats, resume_run, run_pipeline
 from .reward import RewardVerifier, score_rollout_files, serve_stdin
 
 EXIT_OK = 0
@@ -98,29 +97,16 @@ def _cmd_decontaminate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _judge_gateway(args: argparse.Namespace, cfg: Optional[PipelineConfig]) -> Gateway:
-    if args.mock:
-        return Gateway(MockProvider(MockScript.load(args.mock)))
-    gcfg = cfg.gateway if cfg else None
-    if gcfg is not None:
-        from .pipeline import build_gateway
-
-        return build_gateway(gcfg)
-    return Gateway(HTTPProvider("https://api.openai.com/v1"))
-
-
 def _cmd_reward(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else None
-    reward_cfg = cfg.reward if cfg else None
-    if reward_cfg is None:
-        from .config import RewardConfig
-
-        reward_cfg = RewardConfig()
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    if args.mock:
+        cfg.gateway.mock_script = args.mock
+    reward_cfg = cfg.reward
     if args.judge:
         reward_cfg.judge = True
     if args.judge_model:
         reward_cfg.judge_model = args.judge_model
-    gateway = _judge_gateway(args, cfg) if reward_cfg.judge else None
+    gateway = build_gateway(cfg.gateway) if reward_cfg.judge else None
     verifier = RewardVerifier(cfg=reward_cfg, gateway=gateway)
     if args.stdin:
         served = serve_stdin(verifier)

@@ -43,7 +43,6 @@ class GatewayConfig:
     backoff_base: float = 1.0
     backoff_cap: float = 60.0
     max_reasks: int = 2
-    cache: bool = False
     pricing: dict[str, dict[str, float]] = field(default_factory=dict)
 
 

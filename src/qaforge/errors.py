@@ -29,6 +29,14 @@ class PermanentProviderError(GatewayError):
     """Non-retryable provider failure (auth, bad request, missing script entry)."""
 
 
+class RequestRejectedError(PermanentProviderError):
+    """The provider refused this one request (HTTP 400/413/422), e.g. as too long.
+
+    Other requests can still succeed, so the pipeline drops the item instead of
+    aborting the run.
+    """
+
+
 class TransportError(GatewayError):
     """Retries exhausted; carries the attempt count."""
 

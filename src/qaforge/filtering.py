@@ -6,6 +6,8 @@ model: the LLM filter is never invoked on a heuristic reject.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import prompts
 from .config import FilterConfig
 from .gateway import ChatRequest, Gateway, StageTag, parse_yes_no
@@ -31,7 +33,7 @@ def heuristic_filter(doc: Document, cfg: FilterConfig) -> FilterVerdict:
         return FilterVerdict(qualified=False, reason=FilterReason.LOW_ALPHA, phase="heuristic")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) >= _MIN_LINES_FOR_BOILERPLATE:
-        top = max(lines.count(ln) for ln in set(lines))
+        top = Counter(lines).most_common(1)[0][1]
         if top / len(lines) > cfg.max_boilerplate:
             return FilterVerdict(
                 qualified=False, reason=FilterReason.BOILERPLATE_HEAVY, phase="heuristic"

@@ -19,7 +19,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -27,6 +27,7 @@ import requests
 
 from .errors import (
     PermanentProviderError,
+    RequestRejectedError,
     StructuredParseError,
     TransientProviderError,
     TransportError,
@@ -66,9 +67,14 @@ def run_fingerprint(req: ChatRequest) -> str:
 
     Covers stage_tag, system, user, and model; sampling knobs like temperature
     are deliberately excluded so a retried or re-tuned request keeps its
-    identity for mock routing and caching.
+    identity for mock routing.
     """
     return content_hash(req.stage_tag.value, req.system, req.user, req.model)
+
+
+def reask(req: ChatRequest, note: str) -> ChatRequest:
+    """The same request with a corrective note appended to the user message."""
+    return replace(req, user=req.user + note)
 
 
 @dataclass
@@ -266,7 +272,8 @@ class HTTPProvider:
     """Minimal OpenAI-style chat-completions client.
 
     Transient vs permanent classification: 408/429/5xx and connection errors
-    retry; other 4xx fail immediately.
+    retry; other 4xx fail immediately. 400/413/422 reject only the request at
+    hand (RequestRejectedError); the rest (401/403/404, ...) affect every request.
     """
 
     def __init__(self, base_url: str, api_key_env: str = "OPENAI_API_KEY", timeout: float = 120.0):
@@ -300,6 +307,8 @@ class HTTPProvider:
         latency = time.monotonic() - start
         if resp.status_code in (408, 429) or resp.status_code >= 500:
             raise TransientProviderError(f"provider returned {resp.status_code}")
+        if resp.status_code in (400, 413, 422):
+            raise RequestRejectedError(f"provider returned {resp.status_code}: {resp.text[:200]}")
         if resp.status_code >= 400:
             raise PermanentProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
         try:
@@ -375,7 +384,6 @@ class Gateway:
         max_reasks: int = 2,
         sleep: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
-        cache: bool = False,
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
@@ -389,9 +397,7 @@ class Gateway:
         self._rate = rate
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._cache: Optional[dict[str, ChatResponse]] = {} if cache else None
-        self._cache_lock = threading.Lock()
-        self.cache_hits = 0
+        self._reasks_lock = threading.Lock()
         self.reasks = 0
 
     def complete(self, req: ChatRequest) -> ChatResponse:
@@ -400,12 +406,6 @@ class Gateway:
         Raises TransportError after max_attempts transient failures and lets
         permanent failures through immediately; both count one ledger failure.
         """
-        fingerprint = run_fingerprint(req)
-        if self._cache is not None:
-            with self._cache_lock:
-                if fingerprint in self._cache:
-                    self.cache_hits += 1
-                    return self._cache[fingerprint]
         retries = 0
         for attempt in range(1, self.max_attempts + 1):
             try:
@@ -428,9 +428,6 @@ class Gateway:
                 self.ledger.record_failure(req.model, req.stage_tag, retries)
                 raise
             self.ledger.record_success(req.model, req.stage_tag, resp, retries)
-            if self._cache is not None:
-                with self._cache_lock:
-                    self._cache[fingerprint] = resp
             return resp
         raise AssertionError("unreachable")
 
@@ -450,19 +447,13 @@ class Gateway:
                 last_error = str(exc)
                 if attempt == self.max_reasks:
                     break
-                self.reasks += 1
-                correction = (
+                with self._reasks_lock:
+                    self.reasks += 1
+                attempt_req = reask(
+                    attempt_req,
                     f"\n\nYour previous reply could not be parsed ({exc}). "
                     f"Respond again with exactly these fields, one per line, "
-                    f"each as 'FIELD: value': {', '.join(fields)}."
-                )
-                attempt_req = ChatRequest(
-                    model=req.model,
-                    system=req.system,
-                    user=attempt_req.user + correction,
-                    stage_tag=req.stage_tag,
-                    max_output_tokens=req.max_output_tokens,
-                    temperature=req.temperature,
+                    f"each as 'FIELD: value': {', '.join(fields)}.",
                 )
         raise StructuredParseError(
             f"unparseable after {self.max_reasks + 1} tries: {last_error}"

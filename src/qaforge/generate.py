@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 from . import prompts
 from .config import GenerateConfig
 from .decontam import normalize_text
-from .errors import ConfigError, StructuredParseError
-from .gateway import ChatRequest, Gateway, StageTag, run_fingerprint
+from .errors import ConfigError, RequestRejectedError, StructuredParseError
+from .gateway import ChatRequest, Gateway, StageTag, reask, run_fingerprint
 from .types import CandidateQA, DemoExample, Document, Domain, Persona, content_hash
 
 
@@ -125,15 +125,10 @@ def generate_qa(
     fields = gateway.complete_structured(req, ["QUESTION", "ANSWER"])
     question, answer = fields["QUESTION"].strip(), fields["ANSWER"].strip()
     if len(answer) > cfg.answer_max_chars:
-        retry_req = ChatRequest(
-            model=req.model,
-            system=req.system,
-            user=req.user
-            + f"\n\nYour previous answer was too long. ANSWER must be at most "
+        retry_req = reask(
+            req,
+            f"\n\nYour previous answer was too long. ANSWER must be at most "
             f"{cfg.answer_max_chars} characters. Give the shortest correct answer.",
-            stage_tag=req.stage_tag,
-            max_output_tokens=req.max_output_tokens,
-            temperature=req.temperature,
         )
         fields = gateway.complete_structured(retry_req, ["QUESTION", "ANSWER"])
         question, answer = fields["QUESTION"].strip(), fields["ANSWER"].strip()
@@ -171,26 +166,22 @@ def distill_cot(
 
     The explanation must actually contain the verified answer; otherwise one
     re-ask, and on a second miss the record simply ships without an
-    explanation. Nothing here is allowed to kill a verified record.
+    explanation. Nothing here is allowed to kill a verified record: an
+    unparseable reply or a provider refusal of the request also yields None.
     """
     req = build_distill_request(qa, llm_text, cfg)
     for attempt in range(2):
         try:
             fields = gateway.complete_structured(req, ["EXPLANATION"])
-        except StructuredParseError:
+        except (StructuredParseError, RequestRejectedError):
             return None
         explanation = fields["EXPLANATION"].strip()
         if contains_word_seq(explanation, qa.answer):
             return explanation
         if attempt == 0:
-            req = ChatRequest(
-                model=req.model,
-                system=req.system,
-                user=req.user
-                + "\n\nYour previous explanation did not state the answer. "
+            req = reask(
+                req,
+                "\n\nYour previous explanation did not state the answer. "
                 "End the explanation by stating the answer itself.",
-                stage_tag=req.stage_tag,
-                max_output_tokens=req.max_output_tokens,
-                temperature=req.temperature,
             )
     return None

@@ -50,10 +50,6 @@ class RunLedger:
             self._handles[stage] = open(self._path(stage), "a", encoding="utf-8")
         return self._handles[stage]
 
-    def has(self, stage: str, item_id: str) -> bool:
-        with self._lock:
-            return item_id in self._entries[stage]
-
     def get(self, stage: str, item_id: str) -> Optional[dict[str, Any]]:
         with self._lock:
             return self._entries[stage].get(item_id)

@@ -21,7 +21,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Optional
 
@@ -35,7 +35,7 @@ from .config import (
     load_config,
 )
 from .decontam import NGramIndex, build_index_from_dir, is_contaminated
-from .errors import ConfigDriftError, ConfigError, StructuredParseError
+from .errors import ConfigDriftError, ConfigError, RequestRejectedError, StructuredParseError
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
 from .gateway import Gateway, HTTPProvider, MockProvider, MockScript, TokenBucket
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
@@ -75,7 +75,6 @@ def build_gateway(gcfg: GatewayConfig) -> Gateway:
         backoff_base=gcfg.backoff_base,
         backoff_cap=gcfg.backoff_cap,
         max_reasks=gcfg.max_reasks,
-        cache=gcfg.cache,
     )
 
 
@@ -120,6 +119,23 @@ class _DatasetWriter:
         self._fh.close()
 
 
+# The per-item failure policy. Each exception listed here is expected of one
+# document or candidate and becomes a ledgered drop with this reason. Anything
+# else (config errors, a missing key, 401/403/404, a mock miss, retries run
+# out) is run-scoped: it propagates, aborts the run, and resume continues once
+# it is fixed. Dropping on those would make the dataset depend on the outage.
+DROP_REASONS: dict[type[Exception], str] = {
+    StructuredParseError: "parse",
+    NoPersonasError: "no_persona",
+    AnswerTooLongError: "answer_too_long",
+    PreLeakError: "pre_leak",
+    RequestRejectedError: "provider",
+}
+
+# What a stage computes for one item: (outcome, reason, data, fingerprint).
+StageResult = tuple[str, str, dict, str]
+
+
 @dataclass
 class _RunContext:
     cfg: PipelineConfig
@@ -137,98 +153,69 @@ class _RunContext:
             self.hook(stage, item_id, outcome)
         return entry  # type: ignore[return-value]
 
+    def memo(self, stage: str, item_id: str, compute: Callable[[], StageResult],
+             drop_data: Optional[dict] = None) -> dict:
+        """The ledger entry of (stage, item_id), running compute only when none exists.
 
-def _filter_stage(ctx: _RunContext, doc: Document, llm_text: str, truncated: bool) -> dict:
-    entry = ctx.ledger.get("filter", doc.doc_id)
-    if entry is not None:
-        return entry
+        An exception in DROP_REASONS is logged as a drop carrying drop_data;
+        any other exception propagates with nothing logged.
+        """
+        entry = self.ledger.get(stage, item_id)
+        if entry is not None:
+            return entry
+        try:
+            outcome, reason, data, fingerprint = compute()
+        except tuple(DROP_REASONS) as exc:
+            reason = next(r for cls, r in DROP_REASONS.items() if isinstance(exc, cls))
+            return self.log(stage, item_id, "drop", reason, data=drop_data)
+        return self.log(stage, item_id, outcome, reason, fingerprint, data)
+
+
+def _filter(ctx: _RunContext, doc: Document, llm_text: str, truncated: bool) -> StageResult:
     verdict = heuristic_filter(doc, ctx.cfg.filter)
     if verdict.qualified:
-        try:
-            verdict = llm_filter(llm_text, ctx.gateway, ctx.cfg.filter)
-        except StructuredParseError:
-            return ctx.log("filter", doc.doc_id, "drop", reason="parse",
-                           data={"truncated": truncated})
+        verdict = llm_filter(llm_text, ctx.gateway, ctx.cfg.filter)
     outcome = "pass" if verdict.qualified else "reject"
-    return ctx.log("filter", doc.doc_id, outcome, reason=verdict.reason.value,
-                   data={"phase": verdict.phase, "truncated": truncated})
+    return outcome, verdict.reason.value, {"phase": verdict.phase, "truncated": truncated}, ""
 
 
-def _classify_stage(ctx: _RunContext, doc: Document, llm_text: str) -> dict:
-    entry = ctx.ledger.get("classify", doc.doc_id)
-    if entry is not None:
-        return entry
-    try:
-        domain, personas = classify_and_assign(llm_text, ctx.gateway, ctx.cfg.classify)
-    except StructuredParseError:
-        return ctx.log("classify", doc.doc_id, "drop", reason="parse")
-    except NoPersonasError:
-        return ctx.log("classify", doc.doc_id, "drop", reason="no_persona")
-    data = {
-        "domain": domain.value,
-        "personas": [{"label": p.label, "rank": p.rank} for p in personas],
-    }
-    return ctx.log("classify", doc.doc_id, "pass", data=data)
+def _classify(ctx: _RunContext, llm_text: str) -> StageResult:
+    domain, personas = classify_and_assign(llm_text, ctx.gateway, ctx.cfg.classify)
+    personas_data = [{"label": p.label, "rank": p.rank} for p in personas]
+    return "pass", "", {"domain": domain.value, "personas": personas_data}, ""
 
 
-def _generate_stage(ctx: _RunContext, doc: Document, llm_text: str, domain: Domain,
-                    persona: Persona, item_id: str) -> dict:
-    entry = ctx.ledger.get("generate", item_id)
-    if entry is not None:
-        return entry
+def _generate(ctx: _RunContext, doc: Document, llm_text: str, domain: Domain,
+              persona: Persona) -> StageResult:
     demos = ctx.demos.sample_demos(domain, ctx.cfg.generate.k_shots, ctx.cfg.run.seed)
-    try:
-        qa = generate_qa(llm_text, doc, domain, persona, demos, ctx.gateway, ctx.cfg.generate)
-    except StructuredParseError:
-        return ctx.log("generate", item_id, "drop", reason="parse")
-    except AnswerTooLongError:
-        return ctx.log("generate", item_id, "drop", reason="answer_too_long")
-    except PreLeakError:
-        return ctx.log("generate", item_id, "drop", reason="pre_leak")
-    data = {
-        "question": qa.question,
-        "answer": qa.answer,
-        "few_shot_ids": qa.few_shot_ids,
-    }
-    return ctx.log("generate", item_id, "pass", fingerprint=qa.gen_fingerprint, data=data)
+    qa = generate_qa(llm_text, doc, domain, persona, demos, ctx.gateway, ctx.cfg.generate)
+    data = {"question": qa.question, "answer": qa.answer, "few_shot_ids": qa.few_shot_ids}
+    return "pass", "", data, qa.gen_fingerprint
 
 
-def _verify_stage(ctx: _RunContext, llm_text: str, qa: CandidateQA, item_id: str) -> dict:
-    entry = ctx.ledger.get("verify", item_id)
-    if entry is not None:
-        return entry
-    try:
-        verdict = verify_qa(llm_text, qa, ctx.gateway, ctx.cfg.verify)
-    except StructuredParseError:
-        return ctx.log("verify", item_id, "drop", reason="parse")
+def _verify(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
+    verdict = verify_qa(llm_text, qa, ctx.gateway, ctx.cfg.verify)
     data = {"correct": verdict.correct, "leaked": verdict.leaked}
     if verdict.passed:
-        return ctx.log("verify", item_id, "pass", data=data)
-    reason = "incorrect" if not verdict.correct else "leaked"
-    return ctx.log("verify", item_id, "reject", reason=reason, data=data)
+        return "pass", "", data, ""
+    return "reject", "incorrect" if not verdict.correct else "leaked", data, ""
 
 
-def _decontaminate_stage(ctx: _RunContext, qa: CandidateQA, item_id: str) -> dict:
-    entry = ctx.ledger.get("decontaminate", item_id)
-    if entry is not None:
-        return entry
+def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
     report = is_contaminated(qa.question, qa.answer, ctx.eval_index)
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
     }
     if report.contaminated:
-        return ctx.log("decontaminate", item_id, "reject", reason="contaminated", data=data)
-    return ctx.log("decontaminate", item_id, "pass", data=data)
+        return "reject", "contaminated", data, ""
+    return "pass", "", data, ""
 
 
-def _distill_stage(ctx: _RunContext, llm_text: str, qa: CandidateQA, item_id: str) -> dict:
-    entry = ctx.ledger.get("distill", item_id)
-    if entry is not None:
-        return entry
+def _distill(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
     explanation = distill_cot(qa, llm_text, ctx.gateway, ctx.cfg.generate)
     reason = "explained" if explanation is not None else "omitted"
-    return ctx.log("distill", item_id, "pass", reason=reason, data={"explanation": explanation})
+    return "pass", reason, {"explanation": explanation}, ""
 
 
 def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
@@ -236,11 +223,12 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
     llm_text = truncate_for_llm(doc.text, cfg.filter)
     truncated = len(doc.text) > cfg.filter.max_chars
 
-    fentry = _filter_stage(ctx, doc, llm_text, truncated)
+    fentry = ctx.memo("filter", doc.doc_id, lambda: _filter(ctx, doc, llm_text, truncated),
+                      drop_data={"truncated": truncated})
     if fentry["outcome"] != "pass":
         return []
 
-    centry = _classify_stage(ctx, doc, llm_text)
+    centry = ctx.memo("classify", doc.doc_id, lambda: _classify(ctx, llm_text))
     if centry["outcome"] != "pass":
         return []
     domain = Domain(centry["data"]["domain"])
@@ -249,7 +237,8 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
     records: list[QARecord] = []
     for persona in personas:
         item_id = f"{doc.doc_id}:p{persona.rank}"
-        gentry = _generate_stage(ctx, doc, llm_text, domain, persona, item_id)
+        gentry = ctx.memo("generate", item_id,
+                          lambda: _generate(ctx, doc, llm_text, domain, persona))
         if gentry["outcome"] != "pass":
             continue
         qa = CandidateQA(
@@ -261,51 +250,50 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
             few_shot_ids=gentry["data"]["few_shot_ids"],
             gen_fingerprint=gentry["fingerprint"],
         )
-        ventry = _verify_stage(ctx, llm_text, qa, item_id)
+        ventry = ctx.memo("verify", item_id, lambda: _verify(ctx, llm_text, qa))
         if ventry["outcome"] != "pass":
             continue
-        dentry = _decontaminate_stage(ctx, qa, item_id)
+        dentry = ctx.memo("decontaminate", item_id, lambda: _decontaminate(ctx, qa))
         if dentry["outcome"] != "pass":
             continue
         explanation = None
         audit_distill = None
         if cfg.generate.sft_distill:
-            tentry = _distill_stage(ctx, llm_text, qa, item_id)
+            tentry = ctx.memo("distill", item_id, lambda: _distill(ctx, llm_text, qa))
             explanation = tentry["data"].get("explanation")
             audit_distill = {"outcome": "pass", "explained": explanation is not None}
 
         record_id = make_record_id(doc.doc_id, persona.rank, qa.question)
-        wentry = ctx.ledger.get("write", record_id)
-        if wentry is not None:
-            records.append(QARecord.from_dict(wentry["data"]))
-            continue
-        audit = {
-            "filter": {"outcome": "pass", "phase": fentry["data"].get("phase", "llm"),
-                       "truncated": fentry["data"].get("truncated", False)},
-            "classify": {"outcome": "pass", "domain": domain.value, "personas": len(personas)},
-            "generate": {"outcome": "pass", "fingerprint": qa.gen_fingerprint,
-                         "few_shot_ids": qa.few_shot_ids},
-            "verify": {"outcome": "pass", "correct": True, "leaked": False},
-            "decontaminate": {"outcome": "clean",
-                              "matched_grams": dentry["data"]["matched_gram_count"]},
-        }
-        if audit_distill is not None:
-            audit["distill"] = audit_distill
-        record = QARecord(
-            record_id=record_id,
-            doc_id=doc.doc_id,
-            source=doc.source,
-            domain=domain,
-            persona=persona,
-            question=qa.question,
-            answer=qa.answer,
-            explanation=explanation,
-            audit=audit,
-            pipeline_version=PIPELINE_VERSION,
-            created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-        ctx.log("write", record_id, "pass", data=record.to_dict())
-        records.append(record)
+
+        def write() -> StageResult:
+            audit = {
+                "filter": {"outcome": "pass", "phase": fentry["data"].get("phase", "llm"),
+                           "truncated": fentry["data"].get("truncated", False)},
+                "classify": {"outcome": "pass", "domain": domain.value, "personas": len(personas)},
+                "generate": {"outcome": "pass", "fingerprint": qa.gen_fingerprint,
+                             "few_shot_ids": qa.few_shot_ids},
+                "verify": {"outcome": "pass", "correct": True, "leaked": False},
+                "decontaminate": {"outcome": "clean",
+                                  "matched_grams": dentry["data"]["matched_gram_count"]},
+            }
+            if audit_distill is not None:
+                audit["distill"] = audit_distill
+            record = QARecord(
+                record_id=record_id,
+                doc_id=doc.doc_id,
+                source=doc.source,
+                domain=domain,
+                persona=persona,
+                question=qa.question,
+                answer=qa.answer,
+                explanation=explanation,
+                audit=audit,
+                pipeline_version=PIPELINE_VERSION,
+                created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            )
+            return "pass", "", record.to_dict(), ""
+
+        records.append(QARecord.from_dict(ctx.memo("write", record_id, write)["data"]))
     return records
 
 
@@ -377,28 +365,13 @@ class RunReport:
     dataset: dict[str, Any]
     gateway: dict[str, Any]
     reasks: int = 0
-    cache_hits: int = 0
     workers: int = 1
     pipeline_version: str = PIPELINE_VERSION
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_dir": self.run_dir,
-            "out_path": self.out_path,
-            "records_written": self.records_written,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "funnel": self.funnel,
-            "funnel_consistent": self.funnel_consistent,
-            "funnel_problems": self.funnel_problems,
-            "reasons": self.reasons,
-            "ingest": self.ingest,
-            "dataset": self.dataset,
-            "gateway": self.gateway,
-            "reasks": self.reasks,
-            "cache_hits": self.cache_hits,
-            "workers": self.workers,
-            "pipeline_version": self.pipeline_version,
-        }
+        out = asdict(self)
+        out["wall_seconds"] = round(self.wall_seconds, 3)
+        return out
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -460,8 +433,7 @@ def run_pipeline(
     ingest_stats: dict[str, IngestStats] = {}
 
     def ingest_drop(source: str, key: str, reason: str) -> None:
-        if ledger.log("ingest", key, "drop", reason=reason) and on_stage_logged is not None:
-            on_stage_logged("ingest", key, "drop")
+        ctx.log("ingest", key, "drop", reason=reason)
 
     try:
         docs = dedup(
@@ -473,8 +445,7 @@ def run_pipeline(
         with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
             try:
                 for doc in docs:
-                    if ledger.log("ingest", doc.doc_id, "pass") and on_stage_logged is not None:
-                        on_stage_logged("ingest", doc.doc_id, "pass")
+                    ctx.log("ingest", doc.doc_id, "pass")
                     futures.append(pool.submit(_process_document, ctx, doc))
                 # Drain in submission order: output order never depends on
                 # which worker finished first.
@@ -507,7 +478,6 @@ def run_pipeline(
         dataset=dataset_stats(cfg.run.out),
         gateway=gw.ledger.snapshot(cfg.gateway.pricing or None),
         reasks=gw.reasks,
-        cache_hits=gw.cache_hits,
         workers=cfg.run.workers,
     )
     with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -219,8 +219,10 @@ def score_rollout_files(
 def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO[str] = sys.stdout) -> int:
     """Line-delimited request/response loop for long-running reward serving.
 
-    Input lines: {"question", "gold_answer", "rollout"}. One result line out
-    per request, flushed immediately so a training loop can pipe through us.
+    Input lines: {"question", "gold_answer", "rollout"}, a JSON object whose
+    fields are strings. One result line out per request, flushed immediately so
+    a training loop can pipe through us; a malformed line gets an
+    {"error": "bad request: ..."} line and serving continues.
     """
     served = 0
     for raw in in_fh:
@@ -228,24 +230,30 @@ def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO
             continue
         try:
             req = json.loads(raw)
+            if not isinstance(req, dict):
+                raise ValueError(f"expected a JSON object, got {type(req).__name__}")
             request = RewardRequest(
                 question=req.get("question", ""),
                 gold_answer=req["gold_answer"],
                 rollout=req.get("rollout", ""),
             )
-        except (json.JSONDecodeError, KeyError) as exc:
+            bad = [name for name, value in vars(request).items() if not isinstance(value, str)]
+            if bad:
+                raise ValueError(f"not a string: {', '.join(bad)}")
+        except (ValueError, KeyError, RecursionError) as exc:
             out_fh.write(json.dumps({"error": f"bad request: {exc}"}) + "\n")
             out_fh.flush()
             continue
         result = verifier.score(request)
+        # ASCII-escaped, so a lone surrogate escape echoed from the request
+        # cannot fail to encode on a UTF-8 stdout.
         out_fh.write(
             json.dumps(
                 {
                     "reward": result.reward,
                     "method": result.method,
                     "extracted_answer": result.extracted_answer,
-                },
-                ensure_ascii=False,
+                }
             )
             + "\n"
         )

@@ -94,7 +94,6 @@ class SourceSpec:
 class FilterReason(str, Enum):
     NONE = ""
     TOO_SHORT = "too_short"
-    TOO_LONG = "too_long"
     LOW_ALPHA = "low_alpha"
     BOILERPLATE_HEAVY = "boilerplate_heavy"
     LLM_NON_INFORMATIVE = "llm_non_informative"

@@ -1,6 +1,8 @@
 """Heuristic and model-based document filtering."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaforge.config import FilterConfig
 from qaforge.errors import StructuredParseError
@@ -75,6 +77,26 @@ def test_repeat_ratio_at_threshold_passes():
 def test_single_paragraph_prose_passes():
     verdict = heuristic_filter(make_doc(make_prose(2000)), CFG)
     assert verdict.qualified
+
+
+def reference_top_repeat(lines):
+    """Brute-force count of the most repeated line: O(lines^2), the reference."""
+    return max(lines.count(ln) for ln in set(lines))
+
+
+@given(
+    raw_lines=st.lists(st.sampled_from(["Home | About", "  Home | About ", "menu", "", "  ",
+                                        "The reservoir feeds three towns.", "x"]), max_size=40),
+    max_boilerplate=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_boilerplate_verdict_matches_bruteforce(raw_lines, max_boilerplate):
+    cfg = FilterConfig(min_chars=1, min_alpha=0.0, max_boilerplate=max_boilerplate)
+    text = "\n".join(raw_lines + ["closing line"])
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    heavy = len(lines) >= 5 and reference_top_repeat(lines) / len(lines) > max_boilerplate
+    verdict = heuristic_filter(make_doc(text), cfg)
+    assert verdict.qualified is not heavy
+    assert verdict.reason is (FilterReason.BOILERPLATE_HEAVY if heavy else FilterReason.NONE)
 
 
 # ---------------------------------------------------------------- truncation

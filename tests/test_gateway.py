@@ -1,6 +1,7 @@
 """Gateway behavior: routing, retries, rate limits, parsing, accounting."""
 
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qaforge.errors import (
     PermanentProviderError,
+    RequestRejectedError,
     StructuredParseError,
     TransientProviderError,
     TransportError,
@@ -24,6 +26,7 @@ from qaforge.gateway import (
     TokenBucket,
     parse_tagged_block,
     parse_yes_no,
+    reask,
     run_fingerprint,
 )
 
@@ -314,19 +317,6 @@ def test_token_bucket_admission_bound(capacity, refill, n):
         assert count <= capacity + refill * stamp + 1e-6
 
 
-def test_gateway_cache_hit_skips_provider(gw_factory):
-    script = MockScript()
-    script.set_default(StageTag.FILTER, "cached answer")
-    provider = MockProvider(script)
-    gw = gw_factory(provider=provider, cache=True)
-    first = gw.complete(make_req())
-    second = gw.complete(make_req())
-    assert first.text == second.text == "cached answer"
-    assert provider.total_calls == 1
-    assert gw.cache_hits == 1
-    assert gw.ledger.snapshot()["totals"]["requests"] == 1
-
-
 # ---------------------------------------------------------------- parsing
 
 
@@ -421,6 +411,35 @@ def test_structured_zero_reask_budget(gw_factory):
     assert len(provider.requests) == 1
 
 
+def test_reask_changes_only_the_user_text():
+    req = make_req(user="hello", temperature=0.7)
+    again = reask(req, " -- note")
+    assert again.user == "hello -- note"
+    assert (again.model, again.system, again.stage_tag, again.max_output_tokens,
+            again.temperature) == (req.model, req.system, req.stage_tag,
+                                   req.max_output_tokens, req.temperature)
+    assert req.user == "hello"
+
+
+def test_reask_count_is_exact_under_threads(gw_factory):
+    class ReaskOnceProvider:
+        def send(self, req):
+            return ChatResponse(text="ANSWER: ok" if "could not be parsed" in req.user else "junk")
+
+    n = 400
+    gw = gw_factory(provider=ReaskOnceProvider(), concurrency=32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=32) as pool:
+            futures = [pool.submit(gw.complete_structured, make_req(user=f"u{i}"), ["ANSWER"])
+                       for i in range(n)]
+            assert all(f.result(timeout=60) == {"ANSWER": "ok"} for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert gw.reasks == n
+
+
 # ---------------------------------------------------------------- http client
 
 
@@ -470,6 +489,20 @@ def test_http_provider_status_classification(monkeypatch, status, exc):
     )
     with pytest.raises(exc):
         HTTPProvider("http://llm.internal/v1").send(make_req())
+
+
+@pytest.mark.parametrize("status,item_scoped", [(400, True), (413, True), (422, True),
+                                                (401, False), (403, False), (404, False)])
+def test_http_provider_rejection_scope(monkeypatch, status, item_scoped):
+    from qaforge.gateway import HTTPProvider
+
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    monkeypatch.setattr(
+        "qaforge.gateway.requests.post", lambda *a, **k: FakeHTTPResponse(status, text="err")
+    )
+    with pytest.raises(PermanentProviderError) as info:
+        HTTPProvider("http://llm.internal/v1").send(make_req())
+    assert isinstance(info.value, RequestRejectedError) is item_scoped
 
 
 def test_http_provider_requires_key(monkeypatch):

@@ -14,10 +14,23 @@ from qaforge.config import (
     config_to_dict,
     load_config,
 )
-from qaforge.errors import ConfigDriftError, ConfigError
-from qaforge.gateway import Gateway, MockProvider, MockScript, StageTag
+from qaforge.errors import (
+    ConfigDriftError,
+    ConfigError,
+    PermanentProviderError,
+    RequestRejectedError,
+    TransientProviderError,
+    TransportError,
+)
+from qaforge.gateway import ChatResponse, Gateway, MockProvider, MockScript, StageTag
 from qaforge.ledger import RunLedger
-from qaforge.pipeline import _DatasetWriter, dataset_stats, resume_run, run_pipeline
+from qaforge.pipeline import (
+    DROP_REASONS,
+    _DatasetWriter,
+    dataset_stats,
+    resume_run,
+    run_pipeline,
+)
 
 from conftest import read_jsonl, write_jsonl
 
@@ -328,6 +341,90 @@ def test_interrupted_run_resumes_to_same_dataset(tmp_path):
     assert body(tmp_path / "records.jsonl") == body(tmp_path / "ref.jsonl")
 
 
+# ---------------------------------------------------------------- failure policy
+
+
+class DocFaultProvider:
+    """Default mock replies, except at one stage for the document tagged "Plant 0".
+
+    There the fault is returned as the reply text, or raised when it is an
+    exception.
+    """
+
+    def __init__(self, stage, fault):
+        self.mock = MockProvider(default_script())
+        self.stage = stage
+        self.fault = fault
+
+    def send(self, req):
+        if req.stage_tag == self.stage and "Plant 0 " in req.user:
+            if isinstance(self.fault, Exception):
+                raise self.fault
+            return ChatResponse(text=self.fault)
+        return self.mock.send(req)
+
+
+# (drop reason, stage it shows at, ledger stage, fault for document 0)
+DROP_CASES = [
+    ("parse", StageTag.FILTER, "filter", "no tagged fields at all"),
+    ("no_persona", StageTag.CLASSIFY, "classify", "DOMAIN: science\nPERSONAS: ."),
+    ("answer_too_long", StageTag.GENERATE, "generate",
+     "QUESTION: What does the plant make?\nANSWER: " + "ammonia " * 40),
+    ("pre_leak", StageTag.GENERATE, "generate",
+     "QUESTION: Does the plant make Ammonia?\nANSWER: Ammonia"),
+    ("provider", StageTag.VERIFY, "verify", RequestRejectedError("provider returned 400")),
+]
+
+
+def test_every_drop_reason_has_a_case():
+    assert sorted(DROP_REASONS.values()) == sorted(case[0] for case in DROP_CASES)
+
+
+@pytest.mark.parametrize("reason,tag,stage,fault", DROP_CASES, ids=[c[0] for c in DROP_CASES])
+def test_per_item_failure_is_a_ledgered_drop(tmp_path, reason, tag, stage, fault):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3)
+    gw = Gateway(DocFaultProvider(tag, fault), sleep=lambda s: None)
+    report = run_pipeline(load_config(str(cfg_path)), gateway=gw)
+    assert report.records_written == 2
+    assert report.funnel_consistent, report.funnel_problems
+    assert report.reasons[stage][f"drop:{reason}"] == 1
+    # The drop is memoised: a resume asks the provider nothing.
+    provider = DocFaultProvider(tag, fault)
+    again = resume_run(str(tmp_path / "run"), gateway=Gateway(provider))
+    assert provider.mock.total_calls == 0
+    assert again.records_written == 2
+
+
+def mock_without_verify():
+    script = default_script()
+    script.defaults.pop(StageTag.VERIFY.value)
+    return MockProvider(script)
+
+
+RUN_SCOPED = {
+    "unauthorized": lambda: DocFaultProvider(
+        StageTag.VERIFY, PermanentProviderError("provider returned 401: bad key")),
+    "mock_miss": mock_without_verify,
+    "retries_exhausted": lambda: DocFaultProvider(
+        StageTag.VERIFY, TransientProviderError("provider returned 503")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_SCOPED))
+def test_run_scoped_failure_aborts_then_resumes(tmp_path, kind):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3, workers=1)
+    gw = Gateway(RUN_SCOPED[kind](), max_attempts=2, sleep=lambda s: None)
+    expected = TransportError if kind == "retries_exhausted" else PermanentProviderError
+    with pytest.raises(expected):
+        run_pipeline(load_config(str(cfg_path)), gateway=gw)
+    ledger = RunLedger(str(tmp_path / "run"))
+    assert all(e["outcome"] == "pass" for e in ledger.entries("verify"))
+    ledger.close()
+    report = resume_run(str(tmp_path / "run"), gateway=Gateway(MockProvider(default_script())))
+    assert report.records_written == 3
+    assert report.funnel_consistent, report.funnel_problems
+
+
 def test_empty_corpus_run(tmp_path):
     corpus = tmp_path / "empty.jsonl"
     corpus.write_text("")
@@ -463,6 +560,24 @@ def test_cli_reward_batch(tmp_path, capsys):
     assert summary["scored"] == 2 and summary["unmatched"] == 0
     rows = read_jsonl(out)
     assert [r["reward"] for r in rows] == [1.0, 0.0]
+
+
+def test_cli_reward_judge_with_mock(tmp_path, capsys):
+    dataset = tmp_path / "data.jsonl"
+    write_jsonl(dataset, [{"record_id": "r1", "question": "q1", "answer": "Paris"}])
+    rollouts = tmp_path / "rollouts.jsonl"
+    write_jsonl(rollouts, [{"record_id": "r1", "rollout": "Answer: the French capital"}])
+    script = MockScript()
+    script.set_default(StageTag.JUDGE, "MATCH: yes")
+    mock_path = tmp_path / "judge.jsonl"
+    script.save(str(mock_path))
+    out = tmp_path / "scored.jsonl"
+    code = cli.main(["reward", "--judge", "--mock", str(mock_path), "--dataset", str(dataset),
+                     "--rollouts", str(rollouts), "--out", str(out)])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["judge_calls"], summary["judge_failures"]) == (1, 0)
+    assert [(r["reward"], r["method"]) for r in read_jsonl(out)] == [(1, "judge")]
 
 
 def test_console_script_installed(tmp_path):

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaforge.config import RewardConfig
@@ -264,6 +264,35 @@ def test_serve_stdin_line_protocol():
     assert served == 2
     assert lines[0]["reward"] == 1 and lines[1]["reward"] == 0
     assert "error" in lines[2]
+
+
+# Lone surrogates are valid JSON string escapes but cannot be encoded to UTF-8.
+any_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=12)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | any_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(any_text, inner, max_size=3),
+    max_leaves=8,
+)
+request_like = st.fixed_dictionaries(
+    {}, optional={name: json_values for name in ("question", "gold_answer", "rollout")}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists((json_values | request_like).map(json.dumps), max_size=6))
+@example(["[1,2]", '{"gold_answer": 5, "rollout": "5"}',
+          '{"gold_answer": "\\ud800", "rollout": "Answer: \\ud800"}',
+          "[" * 100_000 + "]" * 100_000])
+def test_serve_stdin_answers_every_json_line(lines):
+    in_fh = io.StringIO("".join(line + "\n" for line in lines))
+    raw = io.BytesIO()
+    # Strict UTF-8 like a real stdout, so an unencodable reply would raise here.
+    out_fh = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    served = serve_stdin(RewardVerifier(), in_fh, out_fh)
+    replies = [json.loads(r) for r in raw.getvalue().decode("utf-8").splitlines()]
+    assert len(replies) == len(lines)
+    assert all(("reward" in r) != ("error" in r) for r in replies)
+    assert served == sum("reward" in r for r in replies)
 
 
 def test_empty_gold_never_rewards():
