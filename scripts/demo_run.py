@@ -27,11 +27,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dir", default=None,
                         help="working directory (default: a fresh temp dir)")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
     work = Path(args.dir) if args.dir else Path(tempfile.mkdtemp(prefix="qaforge-demo-"))
-    bundle = build_fixture(work, workers=args.workers)
+    bundle = build_fixture(work)
     cfg = bundle.config()
     report = run_pipeline(cfg)
 

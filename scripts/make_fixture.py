@@ -22,11 +22,9 @@ from fixture_builder import build_fixture  # noqa: E402
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dest", help="directory to create the fixture in")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker count written into the generated config")
     args = parser.parse_args(argv)
 
-    bundle = build_fixture(Path(args.dest), workers=args.workers)
+    bundle = build_fixture(Path(args.dest))
     print(f"corpus root:      {bundle.root}")
     print(f"config:           {bundle.config_path}")
     print(f"mock script:      {bundle.mock_path}")

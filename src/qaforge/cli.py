@@ -32,8 +32,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg.run.out = args.out
     if args.run_dir:
         cfg.run.run_dir = args.run_dir
-    if args.workers:
-        cfg.run.workers = args.workers
     report = run_pipeline(cfg)
     for line in report.summary_lines():
         print(line)
@@ -135,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mock", help="mock script path; overrides gateway.mock_script")
     p_run.add_argument("--out", help="dataset output path; overrides run.out")
     p_run.add_argument("--run-dir", help="run directory; overrides run.run_dir")
-    p_run.add_argument("--workers", type=int, help="worker count; overrides run.workers")
     p_run.set_defaults(func=_cmd_run)
 
     p_resume = sub.add_parser("resume", help="continue an interrupted run")

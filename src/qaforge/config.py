@@ -26,7 +26,6 @@ from .types import SourceSpec
 @dataclass
 class RunSettings:
     seed: int = 0
-    workers: int = 4
     out: str = "records.jsonl"
     run_dir: str = "run"
 
@@ -36,7 +35,7 @@ class GatewayConfig:
     mock_script: Optional[str] = None  # path; None means live HTTP provider
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
-    concurrency: int = 8
+    concurrency: int = 4  # document threads and in-flight requests
     rate_capacity: float = 0.0  # 0 disables rate limiting
     rate_refill_per_s: float = 0.0
     max_attempts: int = 5
@@ -152,8 +151,12 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     for name, cls in _SECTIONS.items():
         kwargs[name] = _build(cls, data.get(name), name)
     cfg = PipelineConfig(**kwargs)
-    if cfg.run.workers < 1:
-        raise ConfigError("run.workers must be >= 1")
+    if cfg.gateway.concurrency < 1:
+        raise ConfigError("gateway.concurrency must be >= 1")
+    if cfg.gateway.max_attempts < 1:
+        raise ConfigError("gateway.max_attempts must be >= 1")
+    if cfg.gateway.max_reasks < 0:
+        raise ConfigError("gateway.max_reasks must be >= 0")
     if cfg.generate.answer_max_chars < 1:
         raise ConfigError("generate.answer_max_chars must be >= 1")
     if cfg.decontaminate.ngram < 1:

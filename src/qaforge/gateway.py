@@ -388,6 +388,7 @@ class Gateway:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.provider = provider
+        self.concurrency = concurrency
         self.ledger = CostLedger()
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base

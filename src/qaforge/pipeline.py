@@ -8,8 +8,8 @@ with zero gateway calls.
 
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
-file is byte-identical across runs and across worker counts; only created_at
-timestamps differ between runs.
+file is byte-identical across runs and across concurrency settings; only
+created_at timestamps differ between runs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Optional
@@ -107,12 +108,12 @@ class _DatasetWriter:
             open(path, "w").close()
         self._fh = open(path, "a", encoding="utf-8")
 
-    def append(self, records: list[QARecord]) -> None:
+    def append(self, records: list[dict]) -> None:
         for rec in records:
-            if rec.record_id in self.seen:
+            if rec["record_id"] in self.seen:
                 continue
-            self.seen.add(rec.record_id)
-            self._fh.write(json.dumps(rec.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+            self.seen.add(rec["record_id"])
+            self._fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -218,7 +219,7 @@ def _distill(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
     return "pass", reason, {"explanation": explanation}, ""
 
 
-def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
+def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
     cfg = ctx.cfg
     llm_text = truncate_for_llm(doc.text, cfg.filter)
     truncated = len(doc.text) > cfg.filter.max_chars
@@ -234,7 +235,7 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
     domain = Domain(centry["data"]["domain"])
     personas = [Persona(label=p["label"], rank=p["rank"]) for p in centry["data"]["personas"]]
 
-    records: list[QARecord] = []
+    records: list[dict] = []
     for persona in personas:
         item_id = f"{doc.doc_id}:p{persona.rank}"
         gentry = ctx.memo("generate", item_id,
@@ -293,7 +294,7 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[QARecord]:
             )
             return "pass", "", record.to_dict(), ""
 
-        records.append(QARecord.from_dict(ctx.memo("write", record_id, write)["data"]))
+        records.append(ctx.memo("write", record_id, write)["data"])
     return records
 
 
@@ -365,7 +366,7 @@ class RunReport:
     dataset: dict[str, Any]
     gateway: dict[str, Any]
     reasks: int = 0
-    workers: int = 1
+    concurrency: int = 1
     pipeline_version: str = PIPELINE_VERSION
 
     def to_dict(self) -> dict[str, Any]:
@@ -377,7 +378,7 @@ class RunReport:
         lines = [
             f"run_dir: {self.run_dir}",
             f"records written: {self.records_written} -> {self.out_path}",
-            f"wall time: {self.wall_seconds:.2f}s, workers: {self.workers}",
+            f"wall time: {self.wall_seconds:.2f}s, concurrency: {self.concurrency}",
             "funnel:",
         ]
         for stage, row in self.funnel.items():
@@ -441,16 +442,21 @@ def run_pipeline(
             ingest_stats,
             ingest_drop,
         )
-        futures = []
-        with ThreadPoolExecutor(max_workers=cfg.run.workers) as pool:
+        # Drain in submission order: output order never depends on which
+        # thread finished first. Ingest waits on the oldest document once
+        # 4x concurrency are pending, so memory does not grow with the corpus;
+        # a 2x window lets one slow head document stall the other threads.
+        window = 4 * gw.concurrency
+        pending: deque[Future] = deque()
+        with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
             try:
                 for doc in docs:
                     ctx.log("ingest", doc.doc_id, "pass")
-                    futures.append(pool.submit(_process_document, ctx, doc))
-                # Drain in submission order: output order never depends on
-                # which worker finished first.
-                for fut in futures:
-                    writer.append(fut.result())
+                    pending.append(pool.submit(_process_document, ctx, doc))
+                    if len(pending) > window:
+                        writer.append(pending.popleft().result())
+                while pending:
+                    writer.append(pending.popleft().result())
             except BaseException:
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
@@ -478,7 +484,7 @@ def run_pipeline(
         dataset=dataset_stats(cfg.run.out),
         gateway=gw.ledger.snapshot(cfg.gateway.pricing or None),
         reasks=gw.reasks,
-        workers=cfg.run.workers,
+        concurrency=gw.concurrency,
     )
     with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

@@ -173,22 +173,6 @@ class QARecord:
             "created_at": self.created_at,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "QARecord":
-        return cls(
-            record_id=d["record_id"],
-            doc_id=d["doc_id"],
-            source=d["source"],
-            domain=Domain(d["domain"]),
-            persona=Persona(label=d["persona"]["label"], rank=d["persona"]["rank"]),
-            question=d["question"],
-            answer=d["answer"],
-            explanation=d.get("explanation"),
-            audit=d.get("audit", {}),
-            pipeline_version=d.get("pipeline_version", ""),
-            created_at=d.get("created_at", ""),
-        )
-
 
 def make_record_id(doc_id: str, persona_rank: int, question: str) -> str:
     return content_hash(doc_id, str(persona_rank), question)

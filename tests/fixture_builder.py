@@ -336,7 +336,7 @@ def expected_outcomes(docs: list[PlannedDoc]) -> tuple[dict, list[dict]]:
     return expected, expected_records
 
 
-def build_fixture(root, workers: int = 4) -> FixtureBundle:
+def build_fixture(root) -> FixtureBundle:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     eval_dir = root / "evals"
@@ -349,7 +349,6 @@ def build_fixture(root, workers: int = 4) -> FixtureBundle:
         ],
         "run": {
             "seed": SEED,
-            "workers": workers,
             "out": str(root / "records.jsonl"),
             "run_dir": str(root / "run"),
         },

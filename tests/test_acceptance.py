@@ -49,9 +49,9 @@ WORKER_VARIANTS = (1, 4, 16)
 EXPECTED_TOTAL_CALLS = 560  # 110 filter + 90 classify + 180 generate + 180 verify
 
 
-def counted_gateway(mock_path) -> tuple[MockProvider, Gateway]:
+def counted_gateway(mock_path, concurrency: int = 8) -> tuple[MockProvider, Gateway]:
     provider = MockProvider(MockScript.load(str(mock_path)))
-    return provider, Gateway(provider, concurrency=8, sleep=lambda _s: None)
+    return provider, Gateway(provider, concurrency=concurrency, sleep=lambda _s: None)
 
 
 def read_rows(path) -> list[dict]:
@@ -76,10 +76,9 @@ def e2e(tmp_path_factory):
     t0 = time.perf_counter()
     for name, workers in [("w1", 1), ("w4", 4), ("w16", 16), ("w4_repeat", 4)]:
         cfg = bundle.config()
-        cfg.run.workers = workers
         cfg.run.out = str(root / f"records_{name}.jsonl")
         cfg.run.run_dir = str(root / f"run_{name}")
-        provider, gw = counted_gateway(bundle.mock_path)
+        provider, gw = counted_gateway(bundle.mock_path, concurrency=workers)
         report = run_pipeline(cfg, gateway=gw)
         runs[name] = SimpleNamespace(
             cfg=cfg,
@@ -186,11 +185,10 @@ def test_c3_interrupted_runs_resume_without_rework(e2e, tmp_path):
     ]
     for stage_name, nth in points:
         cfg = bundle.config()
-        cfg.run.workers = 4
         cfg.run.out = str(tmp_path / f"{stage_name}.jsonl")
         cfg.run.run_dir = str(tmp_path / f"run_{stage_name}")
 
-        first_provider, first_gw = counted_gateway(bundle.mock_path)
+        first_provider, first_gw = counted_gateway(bundle.mock_path, concurrency=4)
         with pytest.raises(Interrupt):
             run_pipeline(cfg, gateway=first_gw, on_stage_logged=crash_hook(stage_name, nth))
 
@@ -444,11 +442,10 @@ def test_c7_known_document_regression(tmp_path):
             "sources": [{"source": "banking", "path": str(corpus)}],
             "run": {
                 "seed": 7,
-                "workers": 2,
                 "out": str(tmp_path / "records.jsonl"),
                 "run_dir": str(tmp_path / "run"),
             },
-            "gateway": {"mock_script": str(tmp_path / "mock.jsonl")},
+            "gateway": {"concurrency": 2, "mock_script": str(tmp_path / "mock.jsonl")},
         }
     )
 

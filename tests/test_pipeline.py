@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 import yaml
@@ -27,6 +29,7 @@ from qaforge.ledger import RunLedger
 from qaforge.pipeline import (
     DROP_REASONS,
     _DatasetWriter,
+    build_gateway,
     dataset_stats,
     resume_run,
     run_pipeline,
@@ -53,7 +56,7 @@ def default_script():
     return script
 
 
-def mini_config(tmp_path, n_docs=2, workers=2):
+def mini_config(tmp_path, n_docs=2, concurrency=2):
     """A tiny runnable corpus plus mock script and config file on disk."""
     corpus = tmp_path / "corpus.jsonl"
     write_jsonl(corpus, [{"text": prose(i)} for i in range(n_docs)])
@@ -63,11 +66,10 @@ def mini_config(tmp_path, n_docs=2, workers=2):
         "sources": [{"source": "mini", "path": str(corpus)}],
         "run": {
             "seed": 7,
-            "workers": workers,
             "out": str(tmp_path / "records.jsonl"),
             "run_dir": str(tmp_path / "run"),
         },
-        "gateway": {"mock_script": str(mock_path)},
+        "gateway": {"concurrency": concurrency, "mock_script": str(mock_path)},
     }
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg_dict))
@@ -80,7 +82,7 @@ def mini_config(tmp_path, n_docs=2, workers=2):
 def test_load_config_roundtrip(tmp_path):
     cfg_path, cfg_dict = mini_config(tmp_path)
     cfg = load_config(str(cfg_path))
-    assert cfg.run.workers == 2 and cfg.run.seed == 7
+    assert cfg.gateway.concurrency == 2 and cfg.run.seed == 7
     assert cfg.sources[0].source == "mini"
     assert cfg.filter.min_chars == 200  # untouched sections keep defaults
     assert canonical_json(cfg) == canonical_json(load_config(str(cfg_path)))
@@ -104,9 +106,11 @@ def test_unknown_source_key_rejected():
 @pytest.mark.parametrize(
     "data",
     [
-        {"run": {"workers": 0}},
+        {"gateway": {"concurrency": 0}},
         {"generate": {"answer_max_chars": 0}},
         {"decontaminate": {"ngram": 0}},
+        {"gateway": {"max_attempts": 0}},
+        {"gateway": {"max_reasks": -1}},
     ],
 )
 def test_bound_validation(data):
@@ -116,7 +120,7 @@ def test_bound_validation(data):
 
 def test_empty_config_is_all_defaults():
     cfg = config_from_dict({})
-    assert cfg.run.workers == 4
+    assert cfg.gateway.concurrency == 4
     assert cfg.decontaminate.ngram == 13
     assert cfg.generate.answer_max_chars == 160
 
@@ -307,7 +311,7 @@ def test_resume_accepts_matching_config(tmp_path):
 
 
 def test_interrupted_run_resumes_to_same_dataset(tmp_path):
-    cfg_path, cfg_dict = mini_config(tmp_path, n_docs=4, workers=1)
+    cfg_path, cfg_dict = mini_config(tmp_path, n_docs=4, concurrency=1)
     cfg = load_config(str(cfg_path))
 
     class Boom(BaseException):
@@ -339,6 +343,83 @@ def test_interrupted_run_resumes_to_same_dataset(tmp_path):
         return [{k: v for k, v in row.items() if k != "created_at"} for row in read_jsonl(path)]
 
     assert body(tmp_path / "records.jsonl") == body(tmp_path / "ref.jsonl")
+
+
+def test_gateway_concurrency_sets_calls_in_flight(tmp_path):
+    """gateway.concurrency alone decides how many LLM calls a run keeps in flight."""
+    cfg_path, _ = mini_config(tmp_path, n_docs=12, concurrency=6)
+    cfg = load_config(str(cfg_path))
+    mock = MockProvider(default_script())
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+
+    class InFlightCounter:
+        def send(self, req):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            try:
+                time.sleep(0.1)
+                return mock.send(req)
+            finally:
+                with lock:
+                    state["now"] -= 1
+
+    gw = build_gateway(cfg.gateway)
+    gw.provider = InFlightCounter()
+    report = run_pipeline(cfg, gateway=gw)
+    assert report.records_written == 12
+    assert report.concurrency == 6
+    assert state["peak"] == 6
+
+
+def test_ingest_stays_a_bounded_window_ahead_of_the_writer(tmp_path):
+    """While the oldest document is stuck, at most 4 x concurrency more are ingested."""
+    c = 2
+    n_docs = 4 * c + 6
+    cfg_path, _ = mini_config(tmp_path, n_docs=n_docs, concurrency=c)
+    mock = MockProvider(default_script())
+    entered, release = threading.Event(), threading.Event()
+
+    class BlockFirstDocument:
+        def send(self, req):
+            if req.stage_tag == StageTag.FILTER and "Plant 0 " in req.user:
+                entered.set()
+                release.wait(timeout=30)
+            return mock.send(req)
+
+    lock = threading.Lock()
+    counts = {"ingest": 0, "write": 0}
+
+    def hook(stage, item_id, outcome):
+        if stage in counts and outcome == "pass":
+            with lock:
+                counts[stage] += 1
+
+    result = {}
+
+    def run():
+        gw = Gateway(BlockFirstDocument(), concurrency=c)
+        result["report"] = run_pipeline(load_config(str(cfg_path)), gateway=gw,
+                                        on_stage_logged=hook)
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    try:
+        assert entered.wait(timeout=10)
+        # Every other document in the window gets written while the head waits.
+        deadline = time.monotonic() + 10
+        while counts["write"] < 4 * c and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        with lock:
+            ingested_while_blocked = counts["ingest"]
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert ingested_while_blocked <= 4 * c + 1
+    assert result["report"].records_written == n_docs
+    assert result["report"].funnel_consistent, result["report"].funnel_problems
 
 
 # ---------------------------------------------------------------- failure policy
@@ -412,7 +493,7 @@ RUN_SCOPED = {
 
 @pytest.mark.parametrize("kind", sorted(RUN_SCOPED))
 def test_run_scoped_failure_aborts_then_resumes(tmp_path, kind):
-    cfg_path, _ = mini_config(tmp_path, n_docs=3, workers=1)
+    cfg_path, _ = mini_config(tmp_path, n_docs=3, concurrency=1)
     gw = Gateway(RUN_SCOPED[kind](), max_attempts=2, sleep=lambda s: None)
     expected = TransportError if kind == "retries_exhausted" else PermanentProviderError
     with pytest.raises(expected):
@@ -474,7 +555,6 @@ def test_cli_worker_and_out_overrides(tmp_path, capsys):
             "run", "--config", str(cfg_path),
             "--out", str(override_out),
             "--run-dir", str(tmp_path / "run2"),
-            "--workers", "1",
         ]
     )
     assert code == 0
