@@ -10,28 +10,39 @@ eval side and the query side, so tiny benchmark items remain detectable.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import IngestError
-from .types import content_hash
 
 DEFAULT_NGRAM = 13
+
+# Byte table for ASCII text: alphanumerics stay, every other byte becomes a space.
+_ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
+# A maximal run of str.isalnum() characters: \w is isalnum() plus "_".
+_WORD_RE = re.compile(r"[^\W_]+")
 
 
 def normalize_text(text: str) -> list[str]:
     """Lowercase, map punctuation to spaces, collapse whitespace, split to words."""
     lowered = text.lower()
-    cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
-    return cleaned.split()
+    # Test the lowered text: U+212A KELVIN SIGN is not ASCII, its lowercase "k" is.
+    if lowered.isascii():
+        return lowered.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
+    return _WORD_RE.findall(lowered)
 
 
 def gram_hash(words: Sequence[str]) -> int:
     # 64-bit hashes keep the index to 8 bytes per gram; collisions at this
-    # width are vanishingly rare for corpus-scale gram counts.
-    return int(content_hash(" ".join(words), bits=64), 16)
+    # width are vanishingly rare for corpus-scale gram counts. The value is
+    # int(content_hash(" ".join(words), bits=64), 16) without the hex round trip.
+    data = " ".join(words).encode("utf-8")
+    digest = hashlib.blake2b(len(data).to_bytes(8, "big") + data, digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 def _segment_grams(words: Sequence[str], n: int) -> Iterator[tuple[int, Sequence[str]]]:

@@ -6,6 +6,7 @@ model: the LLM filter is never invoked on a heuristic reject.
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 
 from . import prompts
@@ -18,6 +19,16 @@ from .types import Document, FilterReason, FilterVerdict
 # meaningless below a handful of lines.
 _MIN_LINES_FOR_BOILERPLATE = 5
 
+_ASCII_ALNUM = (string.ascii_letters + string.digits).encode("ascii")
+
+
+def count_alnum(text: str) -> int:
+    """How many characters of text are alphanumeric, as str.isalnum() decides."""
+    if text.isascii():
+        # For ASCII, isalnum() is exactly [0-9A-Za-z]: count what deleting them removes.
+        return len(text) - len(text.encode("ascii").translate(None, _ASCII_ALNUM))
+    return sum(map(str.isalnum, text))
+
 
 def truncate_for_llm(text: str, cfg: FilterConfig) -> str:
     """Over-long documents are cut to max_chars for every LLM stage, not rejected."""
@@ -28,10 +39,9 @@ def heuristic_filter(doc: Document, cfg: FilterConfig) -> FilterVerdict:
     text = doc.text.strip()
     if len(text) < cfg.min_chars:
         return FilterVerdict(qualified=False, reason=FilterReason.TOO_SHORT, phase="heuristic")
-    alnum = sum(1 for ch in text if ch.isalnum())
-    if alnum / len(text) < cfg.min_alpha:
+    if count_alnum(text) / len(text) < cfg.min_alpha:
         return FilterVerdict(qualified=False, reason=FilterReason.LOW_ALPHA, phase="heuristic")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if len(lines) >= _MIN_LINES_FOR_BOILERPLATE:
         top = Counter(lines).most_common(1)[0][1]
         if top / len(lines) > cfg.max_boilerplate:

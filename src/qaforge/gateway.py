@@ -387,6 +387,10 @@ class Gateway:
     ):
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if max_reasks < 0:
+            raise ValueError("max_reasks must be >= 0")
         self.provider = provider
         self.concurrency = concurrency
         self.ledger = CostLedger()

@@ -51,8 +51,9 @@ class RunLedger:
         return self._handles[stage]
 
     def get(self, stage: str, item_id: str) -> Optional[dict[str, Any]]:
-        with self._lock:
-            return self._entries[stage].get(item_id)
+        # No lock: a dict read is atomic, writers check and insert under the
+        # lock, and an entry is never mutated after it is inserted.
+        return self._entries[stage].get(item_id)
 
     def log(
         self,

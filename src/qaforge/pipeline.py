@@ -6,6 +6,9 @@ the final report. Processing is at-least-once with idempotent ledgers: any
 resume without re-spending tokens, and a completed run resumes to completion
 with zero gateway calls.
 
+Only documents that need the model cross to the thread pool: the heuristic
+filter runs on the ingest thread, where its rejects are logged and skipped.
+
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
 file is byte-identical across runs and across concurrency settings; only
@@ -172,10 +175,25 @@ class _RunContext:
         return self.log(stage, item_id, outcome, reason, fingerprint, data)
 
 
-def _filter(ctx: _RunContext, doc: Document, llm_text: str, truncated: bool) -> StageResult:
+def _needs_llm(ctx: _RunContext, doc: Document) -> bool:
+    """The heuristic gate, run on the ingest thread: whether doc goes to the pool.
+
+    A heuristic reject is logged here, so it never takes a thread or a window slot.
+    """
+    entry = ctx.ledger.get("filter", doc.doc_id)
+    if entry is not None:
+        return entry["outcome"] == "pass"
     verdict = heuristic_filter(doc, ctx.cfg.filter)
     if verdict.qualified:
-        verdict = llm_filter(llm_text, ctx.gateway, ctx.cfg.filter)
+        return True
+    truncated = len(doc.text) > ctx.cfg.filter.max_chars
+    ctx.log("filter", doc.doc_id, "reject", verdict.reason.value,
+            data={"phase": verdict.phase, "truncated": truncated})
+    return False
+
+
+def _filter(ctx: _RunContext, llm_text: str, truncated: bool) -> StageResult:
+    verdict = llm_filter(llm_text, ctx.gateway, ctx.cfg.filter)
     outcome = "pass" if verdict.qualified else "reject"
     return outcome, verdict.reason.value, {"phase": verdict.phase, "truncated": truncated}, ""
 
@@ -224,7 +242,7 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
     llm_text = truncate_for_llm(doc.text, cfg.filter)
     truncated = len(doc.text) > cfg.filter.max_chars
 
-    fentry = ctx.memo("filter", doc.doc_id, lambda: _filter(ctx, doc, llm_text, truncated),
+    fentry = ctx.memo("filter", doc.doc_id, lambda: _filter(ctx, llm_text, truncated),
                       drop_data={"truncated": truncated})
     if fentry["outcome"] != "pass":
         return []
@@ -446,12 +464,15 @@ def run_pipeline(
         # thread finished first. Ingest waits on the oldest document once
         # 4x concurrency are pending, so memory does not grow with the corpus;
         # a 2x window lets one slow head document stall the other threads.
+        # Heuristic rejects yield no records, so skipping them keeps the order.
         window = 4 * gw.concurrency
         pending: deque[Future] = deque()
         with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
             try:
                 for doc in docs:
                     ctx.log("ingest", doc.doc_id, "pass")
+                    if not _needs_llm(ctx, doc):
+                        continue
                     pending.append(pool.submit(_process_document, ctx, doc))
                     if len(pending) > window:
                         writer.append(pending.popleft().result())

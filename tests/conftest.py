@@ -2,6 +2,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import strategies as st
 
 from qaforge.gateway import ChatResponse, Gateway, MockProvider, MockScript
 
@@ -20,6 +21,17 @@ class SequenceProvider:
             idx = min(len(self.requests) - 1, len(self.texts) - 1)
         text = self.texts[idx]
         return ChatResponse(text=text, input_tokens=3, output_tokens=len(text.split()))
+
+
+# Text where the ASCII fast paths and str.isalnum() could disagree: ASCII mixed
+# with non-ASCII letters and digits, U+212A KELVIN SIGN (lowers to ASCII "k"),
+# U+0130 (lowers to two code points), "_" and lone surrogates.
+_TRICKY_CHARS = "_ \t\n\u212a\u0130\u00df\u00e9\u0345\ufb01\u0660\u00b2\u2167\u00a0\ud800\udfff"
+tricky_text = st.one_of(
+    st.text(st.characters(max_codepoint=127)),
+    st.text(st.one_of(st.characters(max_codepoint=127), st.sampled_from(_TRICKY_CHARS),
+                      st.characters())),
+)
 
 
 def write_jsonl(path, rows):

@@ -1,6 +1,8 @@
 """N-gram decontamination: frozen cases, brute-force oracle, properties."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,9 @@ from qaforge.decontam import (
     is_contaminated,
     normalize_text,
 )
+from qaforge.types import content_hash
+
+from conftest import tricky_text
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: explicit window enumeration over word tuples with plain
@@ -75,6 +80,28 @@ def oracle_contaminated(question, answer, eval_texts, n):
 )
 def test_normalize_text(text, words):
     assert normalize_text(text) == words
+
+
+def reference_normalize_text(text):
+    """The per-character normalizer the fast paths replace."""
+    lowered = text.lower()
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
+    return cleaned.split()
+
+
+@given(tricky_text)
+def test_normalize_text_matches_char_loop_reference(text):
+    assert normalize_text(text) == reference_normalize_text(text)
+
+
+def test_word_class_is_isalnum_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"[^\W_]", every)) == "".join(filter(str.isalnum, every))
+
+
+@given(st.lists(st.text(), max_size=15))
+def test_gram_hash_pinned_to_content_hash(words):
+    assert gram_hash(words) == int(content_hash(" ".join(words), bits=64), 16)
 
 
 def test_normalization_hides_nothing():

@@ -6,9 +6,17 @@ from hypothesis import strategies as st
 
 from qaforge.config import FilterConfig
 from qaforge.errors import StructuredParseError
-from qaforge.filtering import build_filter_request, heuristic_filter, llm_filter, truncate_for_llm
+from qaforge.filtering import (
+    build_filter_request,
+    count_alnum,
+    heuristic_filter,
+    llm_filter,
+    truncate_for_llm,
+)
 from qaforge.gateway import MockScript, StageTag
 from qaforge.types import Document, FilterReason, make_doc_id
+
+from conftest import tricky_text
 
 CFG = FilterConfig()
 
@@ -97,6 +105,11 @@ def test_boilerplate_verdict_matches_bruteforce(raw_lines, max_boilerplate):
     verdict = heuristic_filter(make_doc(text), cfg)
     assert verdict.qualified is not heavy
     assert verdict.reason is (FilterReason.BOILERPLATE_HEAVY if heavy else FilterReason.NONE)
+
+
+@given(tricky_text)
+def test_count_alnum_matches_isalnum(text):
+    assert count_alnum(text) == sum(ch.isalnum() for ch in text)
 
 
 # ---------------------------------------------------------------- truncation

@@ -403,6 +403,14 @@ def test_structured_gives_up_after_budget(gw_factory):
     assert gw.reasks == 2
 
 
+@pytest.mark.parametrize("bound", [{"concurrency": 0}, {"max_attempts": 0}, {"max_reasks": -1}])
+def test_gateway_rejects_out_of_range_bounds(bound):
+    provider = SequenceProvider(["ANSWER: fine"])
+    with pytest.raises(ValueError):
+        Gateway(provider, **bound)
+    assert provider.requests == []
+
+
 def test_structured_zero_reask_budget(gw_factory):
     provider = SequenceProvider(["junk", "ANSWER: never seen"])
     gw = gw_factory(provider=provider, max_reasks=0)

@@ -24,7 +24,15 @@ from qaforge.errors import (
     TransientProviderError,
     TransportError,
 )
-from qaforge.gateway import ChatResponse, Gateway, MockProvider, MockScript, StageTag
+from qaforge.filtering import heuristic_filter
+from qaforge.gateway import (
+    ChatResponse,
+    Gateway,
+    MockProvider,
+    MockScript,
+    StageTag,
+    run_fingerprint,
+)
 from qaforge.ledger import RunLedger
 from qaforge.pipeline import (
     DROP_REASONS,
@@ -34,6 +42,7 @@ from qaforge.pipeline import (
     resume_run,
     run_pipeline,
 )
+from qaforge.types import Document
 
 from conftest import read_jsonl, write_jsonl
 
@@ -168,6 +177,41 @@ def test_ledger_tolerates_torn_tail(tmp_path):
     assert reloaded.get("generate", "g2") is None
     assert reloaded.log("generate", "g2", "drop", reason="parse") is True
     reloaded.close()
+
+
+def test_ledger_unlocked_get_agrees_with_racing_writers(tmp_path):
+    """Every item has one winning entry, and every get returns that entry."""
+    ledger = RunLedger(str(tmp_path))
+    n_threads, n_items = 16, 200
+    won = [[] for _ in range(n_threads)]
+    seen = [[] for _ in range(n_threads)]
+    start = threading.Barrier(n_threads)
+
+    def work(t):
+        start.wait(timeout=10)
+        for i in range(n_items):
+            if ledger.log("generate", f"i{i}", "pass", data={"thread": t}):
+                won[t].append(i)
+            seen[t].append((i, ledger.get("generate", f"i{i}")["data"]["thread"]))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    ledger.close()
+    winner = {i: t for t, items in enumerate(won) for i in items}
+    assert sum(map(len, won)) == len(winner) == n_items
+    assert all(winner[i] == t for rows in seen for i, t in rows)
+    rows = read_jsonl(tmp_path / "ledgers" / "generate.jsonl")
+    assert sorted((r["item_id"], r["data"]["thread"]) for r in rows) \
+        == sorted((f"i{i}", t) for i, t in winner.items())
 
 
 def test_ledger_rejects_unknown_stage(tmp_path):
@@ -420,6 +464,113 @@ def test_ingest_stays_a_bounded_window_ahead_of_the_writer(tmp_path):
     assert ingested_while_blocked <= 4 * c + 1
     assert result["report"].records_written == n_docs
     assert result["report"].funnel_consistent, result["report"].funnel_problems
+
+
+# ---------------------------------------------------------------- heuristic gate
+
+
+def gate_config(tmp_path, concurrency):
+    """mini_config over five prose documents and three heuristic rejects.
+
+    The rejects are too_short, low_alpha and boilerplate_heavy, and the first
+    one follows a prose document, so it is logged while that one is in the pool.
+    """
+    cfg_path, cfg_dict = mini_config(tmp_path, concurrency=concurrency)
+    texts = [prose(0), "Plant short note.", prose(1), "#$%^&*() " * 40, prose(2),
+             "\n".join(["Subscribe for more plant news today."] * 12), prose(3), prose(4)]
+    write_jsonl(tmp_path / "corpus.jsonl", [{"text": t} for t in texts])
+    return cfg_path, cfg_dict, texts
+
+
+def ledger_rows(run_dir):
+    """Every ledger file's rows, sorted, with the write rows' created_at removed."""
+    out = {}
+    for path in sorted((run_dir / "ledgers").glob("*.jsonl")):
+        rows = read_jsonl(path)
+        for row in rows:
+            row["data"].pop("created_at", None)
+        out[path.name] = sorted(json.dumps(row, sort_keys=True) for row in rows)
+    return out
+
+
+def dataset_body(path):
+    return [{k: v for k, v in row.items() if k != "created_at"} for row in read_jsonl(path)]
+
+
+def test_heuristic_rejects_are_decided_on_the_ingest_thread(tmp_path):
+    cfg_path, _, texts = gate_config(tmp_path, concurrency=4)
+    cfg = load_config(str(cfg_path))
+    logged_by = {}
+
+    def hook(stage, item_id, outcome):
+        logged_by[(stage, item_id)] = threading.get_ident()
+
+    gw = build_gateway(cfg.gateway)
+    report = run_pipeline(cfg, gateway=gw, on_stage_logged=hook)
+    ledger = RunLedger(str(tmp_path / "run"))
+    rows = ledger.entries("filter")
+    ledger.close()
+    heuristic = [e for e in rows if e["data"]["phase"] == "heuristic"]
+    assert sorted(e["reason"] for e in heuristic) == ["boilerplate_heavy", "low_alpha", "too_short"]
+    caller = threading.get_ident()
+    assert {logged_by[("filter", e["item_id"])] for e in heuristic} == {caller}
+    assert all(t != caller for (stage, _), t in logged_by.items() if stage == "classify")
+    # The model sees exactly the heuristic passes.
+    passes = sum(heuristic_filter(Document(doc_id=str(i), source="mini", text=t, meta={}),
+                                  cfg.filter).qualified for i, t in enumerate(texts))
+    assert gw.provider.calls["filter"] == passes == 5
+    assert report.records_written == 5
+    assert report.funnel_consistent, report.funnel_problems
+
+
+def test_crash_after_a_heuristic_reject_resumes_without_repeated_calls(tmp_path):
+    cfg_path, cfg_dict, _ = gate_config(tmp_path, concurrency=2)
+    sent = []
+    lock = threading.Lock()
+
+    class Recording:
+        def __init__(self):
+            self.mock = MockProvider(default_script())
+
+        def send(self, req):
+            with lock:
+                sent.append(run_fingerprint(req))
+            return self.mock.send(req)
+
+    class Boom(BaseException):
+        pass
+
+    def crash_on_first_reject(stage, item_id, outcome):
+        # The mock qualifies every document, so each filter reject is heuristic.
+        if stage == "filter" and outcome == "reject":
+            raise Boom()
+
+    def recording_gateway(cfg):
+        gw = build_gateway(cfg.gateway)
+        gw.provider = Recording()
+        return gw
+
+    cfg = load_config(str(cfg_path))
+    with pytest.raises(Boom):
+        run_pipeline(cfg, gateway=recording_gateway(cfg), on_stage_logged=crash_on_first_reject)
+    ledger = RunLedger(str(tmp_path / "run"))
+    assert [e["data"]["phase"] for e in ledger.entries("filter") if e["outcome"] == "reject"] \
+        == ["heuristic"]
+    ledger.close()
+    report = resume_run(str(tmp_path / "run"), gateway=recording_gateway(cfg))
+    assert report.records_written == 5
+    assert len(sent) == len(set(sent))
+
+    ref_dict = dict(cfg_dict, run=dict(cfg_dict["run"], out=str(tmp_path / "ref.jsonl"),
+                                       run_dir=str(tmp_path / "ref_run")))
+    ref_path = tmp_path / "ref.yaml"
+    ref_path.write_text(yaml.safe_dump(ref_dict))
+    interrupted_calls = len(sent)
+    ref_cfg = load_config(str(ref_path))
+    run_pipeline(ref_cfg, gateway=recording_gateway(ref_cfg))
+    assert len(sent) - interrupted_calls == interrupted_calls
+    assert ledger_rows(tmp_path / "run") == ledger_rows(tmp_path / "ref_run")
+    assert dataset_body(tmp_path / "records.jsonl") == dataset_body(tmp_path / "ref.jsonl")
 
 
 # ---------------------------------------------------------------- failure policy
