@@ -6,6 +6,10 @@ normalization (case, punctuation, whitespace) so that surface formatting
 cannot hide an overlap. Short texts still participate: any segment shorter
 than n words contributes its whole word sequence as a single gram, on both the
 eval side and the query side, so tiny benchmark items remain detectable.
+
+The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
+searched with bisect. A run pins it in its run directory, so a resume screens
+against the same grams as the run's first candidates.
 """
 
 from __future__ import annotations
@@ -14,10 +18,16 @@ import hashlib
 import json
 import os
 import re
+import struct
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, islice
+from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import IngestError
+from .errors import ConfigDriftError, IngestError
 
 DEFAULT_NGRAM = 13
 
@@ -45,34 +55,42 @@ def gram_hash(words: Sequence[str]) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _segment_grams(words: Sequence[str], n: int) -> Iterator[tuple[int, Sequence[str]]]:
-    """Yield (start_offset, window) for one contiguous segment.
+def _segment_grams(words: Sequence[str], n: int) -> array:
+    """gram_hash of each window of one contiguous segment, in window order.
 
     Windows never span segments; a non-empty segment shorter than n words
-    yields itself as one gram.
+    yields itself as one gram. The segment is joined and encoded once, and
+    each window's bytes are sliced out of that.
     """
+    grams = array("Q")
     if not words:
-        return
+        return grams
+    data = " ".join(words).encode("utf-8")
     if len(words) < n:
-        yield 0, tuple(words)
-        return
-    for i in range(len(words) - n + 1):
-        yield i, tuple(words[i : i + n])
+        windows = [data]
+    else:
+        # Byte offset at which each word starts, plus one past the end.
+        sizes = map(len, words) if data.isascii() else (len(w.encode("utf-8")) for w in words)
+        starts = list(accumulate((size + 1 for size in sizes), initial=0))
+        windows = [data[a : b - 1] for a, b in zip(starts, starts[n:])]
+    # The digests are the big-endian bytes of each gram_hash value.
+    blake2b = hashlib.blake2b
+    grams.frombytes(b"".join([blake2b(len(w).to_bytes(8, "big") + w, digest_size=8).digest()
+                              for w in windows]))
+    if sys.byteorder == "little":
+        grams.byteswap()
+    return grams
 
 
 @dataclass
 class NGramIndex:
     n: int = DEFAULT_NGRAM
-    grams: set[int] = field(default_factory=set)
+    grams: array = field(default_factory=lambda: array("Q"))  # sorted, no duplicates
     source_count: int = 0
 
-    def add_text(self, text: str) -> None:
-        words = normalize_text(text)
-        if not words:
-            return
-        for _, window in _segment_grams(words, self.n):
-            self.grams.add(gram_hash(window))
-        self.source_count += 1
+    def __contains__(self, gram: int) -> bool:
+        i = bisect_left(self.grams, gram)
+        return i < len(self.grams) and self.grams[i] == gram
 
 
 @dataclass
@@ -85,10 +103,21 @@ class ContaminationReport:
 def build_index(eval_texts: Iterable[str], n: int = DEFAULT_NGRAM) -> NGramIndex:
     if n < 1:
         raise ValueError("n must be >= 1")
-    index = NGramIndex(n=n)
+    hashes = array("Q")
+    sources = 0
     for text in eval_texts:
-        index.add_text(text)
-    return index
+        words = normalize_text(text)
+        if words:
+            hashes.extend(_segment_grams(words, n))
+            sources += 1
+    # One sort and one dedup pass. The sorted list of ints is the transient
+    # peak, about 56 B per gram with the array; a set of the ints takes 69.
+    ordered = sorted(hashes)
+    del hashes
+    # Keep each value that differs from its successor, and the last one.
+    grams = array("Q", compress(ordered, map(ne, ordered, islice(ordered, 1, None))))
+    grams.extend(ordered[-1:])
+    return NGramIndex(n=n, grams=grams, source_count=sources)
 
 
 def is_contaminated(question: str, answer: str, index: NGramIndex) -> ContaminationReport:
@@ -104,8 +133,8 @@ def is_contaminated(question: str, answer: str, index: NGramIndex) -> Contaminat
     matched = 0
     first: Optional[int] = None
     for base, words in ((0, q_words), (len(q_words), a_words)):
-        for start, window in _segment_grams(words, index.n):
-            if gram_hash(window) in index.grams:
+        for start, gram in enumerate(_segment_grams(words, index.n)):
+            if gram in index:
                 matched += 1
                 if first is None:
                     first = base + start
@@ -142,3 +171,61 @@ def load_eval_dir(eval_dir: str) -> Iterator[str]:
 
 def build_index_from_dir(eval_dir: str, n: int = DEFAULT_NGRAM) -> NGramIndex:
     return build_index(load_eval_dir(eval_dir), n=n)
+
+
+# The pinned index file: a header, then the sorted grams as little-endian u64.
+INDEX_FILE = "eval_index.bin"
+# Bump whenever normalize_text or gram_hash changes: a pinned index built by
+# other code would silently screen against different grams.
+INDEX_FORMAT_VERSION = 1
+_INDEX_MAGIC = b"QAFIDX\0\0"
+_INDEX_HEADER = struct.Struct("<8sIIQQ")  # magic, version, n, source_count, gram count
+
+
+def write_index(index: NGramIndex, path: str) -> None:
+    """Write index to path atomically: a crash leaves the old file or none."""
+    grams = index.grams
+    if sys.byteorder == "big":
+        grams = array("Q", grams)
+        grams.byteswap()
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, INDEX_FORMAT_VERSION, index.n,
+                                    index.source_count, len(grams)))
+        grams.tofile(fh)
+    os.replace(tmp, path)
+
+
+def read_index(path: str, n: int) -> NGramIndex:
+    """Load an index written by write_index; ConfigDriftError if it does not fit n or this code."""
+    with open(path, "rb") as fh:
+        header = fh.read(_INDEX_HEADER.size)
+        if len(header) == _INDEX_HEADER.size:
+            magic, version, got_n, sources, count = _INDEX_HEADER.unpack(header)
+            size = os.fstat(fh.fileno()).st_size
+            if (magic, version, got_n, size) == (_INDEX_MAGIC, INDEX_FORMAT_VERSION, n,
+                                                 _INDEX_HEADER.size + 8 * count):
+                grams = array("Q")
+                grams.fromfile(fh, count)
+                if sys.byteorder == "big":
+                    grams.byteswap()
+                return NGramIndex(n=n, grams=grams, source_count=sources)
+    raise ConfigDriftError(
+        f"{path} was not written for this run (want format {INDEX_FORMAT_VERSION}, n={n});"
+        " finish the run with the version that wrote it, or start a new run"
+    )
+
+
+def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramIndex:
+    """The run's eval index, pinned in <run_dir>/eval_index.bin.
+
+    A new run builds it from eval_dir and writes the file. A resume loads the
+    file, so it screens against the same grams even if eval_dir has changed
+    since; a run dir from before pinning has no file, and gets one now.
+    """
+    path = os.path.join(run_dir, INDEX_FILE)
+    if resume and os.path.exists(path):
+        return read_index(path, n)
+    index = build_index_from_dir(eval_dir, n) if eval_dir else NGramIndex(n=n)
+    write_index(index, path)
+    return index

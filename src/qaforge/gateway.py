@@ -21,9 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
-
-import requests
+from typing import Any, Callable, Optional
 
 from .errors import (
     PermanentProviderError,
@@ -33,6 +31,15 @@ from .errors import (
     TransportError,
 )
 from .types import content_hash
+
+
+def __getattr__(name: str) -> Any:
+    # `qaforge.gateway.requests` still resolves, loading the package on first use.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StageTag(str, Enum):
@@ -294,6 +301,8 @@ class HTTPProvider:
             "max_tokens": req.max_output_tokens,
             "temperature": req.temperature,
         }
+        import requests  # loaded on first send: no other path needs the HTTP stack
+
         start = time.monotonic()
         try:
             resp = requests.post(

@@ -171,10 +171,10 @@ def dedup(
     on_drop: Optional[DropHook] = None,
 ) -> Iterator[Document]:
     """Drop later copies of any already-seen text, compared after trimming outer whitespace."""
-    seen: set[str] = set()
+    seen: set[int] = set()  # 128-bit digests as ints: 48 B each against 81 B as hex
     dup_counter = 0
     for doc in docs:
-        key = content_hash(doc.text.strip())
+        key = int(content_hash(doc.text.strip()), 16)
         if key in seen:
             dup_counter += 1
             if stats is not None:

@@ -5,21 +5,50 @@ outcome: {item_id, outcome, reason, fingerprint, data}. The data payload
 carries whatever the stage produced (domain, personas, the QA text, ...) so a
 resumed run can feed later stages without re-spending tokens.
 
+Only each item's outcome and the position of its line stay in memory, plus an
+(outcome, reason) counter per stage; get() reads the line back from the file.
+So resident memory grows with the item count, not with the payloads.
+
 Idempotence rule: an item_id appears at most once per stage log. log() returns
 False instead of appending a second row, which is what makes at-least-once
-processing safe. A torn final line from a crash is skipped on load; the item
-simply gets reprocessed.
+processing safe. A torn final line from a crash is skipped on load and cut
+off before the next append; the item simply gets reprocessed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from collections import Counter
-from typing import Any, Optional
+from typing import Any, BinaryIO, Iterator, Optional
 
 STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
+
+
+def make_entry(item_id: str, outcome: str, reason: str = "", fingerprint: str = "",
+               data: Optional[dict[str, Any]] = None) -> dict[str, Any]:
+    """The ledger row that log() writes for these arguments."""
+    return {
+        "item_id": item_id,
+        "outcome": outcome,
+        "reason": reason,
+        "fingerprint": fingerprint,
+        "data": data or {},
+    }
+
+
+def _parse(raw: bytes) -> Optional[dict[str, Any]]:
+    """A ledger row from one complete line, or None for a line that is not one."""
+    try:
+        entry = json.loads(raw.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if isinstance(entry, dict) and isinstance(entry.get("item_id"), str) \
+            and isinstance(entry.get("outcome"), str):
+        return entry
+    return None
 
 
 class RunLedger:
@@ -28,32 +57,64 @@ class RunLedger:
         self.dir = os.path.join(run_dir, "ledgers")
         os.makedirs(self.dir, exist_ok=True)
         self._lock = threading.Lock()
-        self._entries: dict[str, dict[str, dict[str, Any]]] = {s: {} for s in STAGES}
-        self._handles: dict[str, Any] = {}
+        # Per stage: item_id -> (outcome, offset, size) of the item's line.
+        self._rows: dict[str, dict[str, tuple[str, int, int]]] = {s: {} for s in STAGES}
+        self._counts: dict[str, Counter] = {s: Counter() for s in STAGES}
+        # End of the last complete line, kept here so an append needs no tell().
+        self._ends: dict[str, int] = {s: 0 for s in STAGES}
+        self._files: dict[str, BinaryIO] = {}  # append handles, opened on first log
+        self._fds: dict[str, int] = {}  # read-only descriptors for get()
         for stage in STAGES:
             path = self._path(stage)
             if os.path.exists(path):
-                with open(path, "r", encoding="utf-8") as fh:
-                    for raw in fh:
-                        try:
-                            entry = json.loads(raw)
-                        except json.JSONDecodeError:
-                            continue  # torn tail line from a crash
-                        if isinstance(entry, dict) and "item_id" in entry:
-                            self._entries[stage].setdefault(entry["item_id"], entry)
+                self._load(stage, path)
+                self._fds[stage] = os.open(path, os.O_RDONLY)
 
     def _path(self, stage: str) -> str:
         return os.path.join(self.dir, f"{stage}.jsonl")
 
-    def _handle(self, stage: str):
-        if stage not in self._handles:
-            self._handles[stage] = open(self._path(stage), "a", encoding="utf-8")
-        return self._handles[stage]
+    def _load(self, stage: str, path: str) -> None:
+        rows, counts = self._rows[stage], self._counts[stage]
+        offset = 0
+        with open(path, "rb") as fh:
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    break  # torn tail line from a crash
+                entry = _parse(raw)
+                if entry is not None and entry["item_id"] not in rows:
+                    outcome = sys.intern(entry["outcome"])
+                    rows[entry["item_id"]] = (outcome, offset, len(raw))
+                    counts[(outcome, entry.get("reason", ""))] += 1
+                offset += len(raw)
+        self._ends[stage] = offset
+
+    def _file(self, stage: str) -> BinaryIO:
+        """The stage's append handle; the caller holds the lock."""
+        fh = self._files.get(stage)
+        if fh is None:
+            path = self._path(stage)
+            fh = open(path, "ab")
+            # Cut a torn tail before the first append: a line glued to it
+            # would not parse, and both items would be lost on the next load.
+            fh.truncate(self._ends[stage])
+            self._files[stage] = fh
+            if stage not in self._fds:
+                self._fds[stage] = os.open(path, os.O_RDONLY)
+        return fh
 
     def get(self, stage: str, item_id: str) -> Optional[dict[str, Any]]:
-        # No lock: a dict read is atomic, writers check and insert under the
-        # lock, and an entry is never mutated after it is inserted.
-        return self._entries[stage].get(item_id)
+        # No lock: a row is inserted only after its line is written and
+        # flushed, and a row never changes after it is inserted.
+        row = self._rows[stage].get(item_id)
+        if row is None:
+            return None
+        _, offset, size = row
+        return json.loads(os.pread(self._fds[stage], size, offset).decode("utf-8"))
+
+    def outcome(self, stage: str, item_id: str) -> Optional[str]:
+        """The logged outcome of (stage, item_id), without reading its line."""
+        row = self._rows[stage].get(item_id)
+        return None if row is None else row[0]
 
     def log(
         self,
@@ -65,38 +126,47 @@ class RunLedger:
         data: Optional[dict[str, Any]] = None,
     ) -> bool:
         """Record one outcome; returns False when the item was already logged."""
-        if stage not in self._entries:
+        if stage not in self._rows:
             raise ValueError(f"unknown stage {stage!r}")
-        entry = {
-            "item_id": item_id,
-            "outcome": outcome,
-            "reason": reason,
-            "fingerprint": fingerprint,
-            "data": data or {},
-        }
+        if item_id in self._rows[stage]:
+            return False  # a resume re-logs every ingested item; checked again under the lock
+        entry = make_entry(item_id, outcome, reason, fingerprint, data)
+        line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            if item_id in self._entries[stage]:
+            rows = self._rows[stage]
+            if item_id in rows:
                 return False
-            self._entries[stage][item_id] = entry
-            fh = self._handle(stage)
-            fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+            fh = self._file(stage)
+            fh.write(line)
             fh.flush()
+            offset = self._ends[stage]
+            self._ends[stage] = offset + len(line)
+            outcome = sys.intern(outcome)
+            self._counts[stage][(outcome, reason)] += 1
+            rows[item_id] = (outcome, offset, len(line))
         return True
 
-    def entries(self, stage: str) -> list[dict[str, Any]]:
-        with self._lock:
-            return list(self._entries[stage].values())
+    def entries(self, stage: str) -> Iterator[dict[str, Any]]:
+        """Stream the stage's rows in file order, one per item; works after close()."""
+        rows = self._rows[stage]
+        if not rows:
+            return
+        offset = 0
+        with open(self._path(stage), "rb") as fh:
+            for raw in fh:
+                start, offset = offset, offset + len(raw)
+                entry = _parse(raw)
+                # Skips a later duplicate or a garbage line, as load did.
+                if entry is not None and rows.get(entry["item_id"], (None, -1))[1] == start:
+                    yield entry
 
     def count(self, stage: str) -> int:
-        with self._lock:
-            return len(self._entries[stage])
+        return len(self._rows[stage])
 
     def outcome_counts(self, stage: str) -> Counter:
         """Counter over (outcome, reason) pairs for one stage."""
         with self._lock:
-            return Counter(
-                (e["outcome"], e.get("reason", "")) for e in self._entries[stage].values()
-            )
+            return Counter(self._counts[stage])
 
     def replay_funnel(self) -> dict[str, dict[str, int]]:
         """Reconstruct per-stage in/pass/reject/drop counts from the logs alone."""
@@ -117,6 +187,9 @@ class RunLedger:
 
     def close(self) -> None:
         with self._lock:
-            for fh in self._handles.values():
+            for fh in self._files.values():
                 fh.close()
-            self._handles.clear()
+            self._files.clear()
+            for fd in self._fds.values():
+                os.close(fd)
+            self._fds.clear()

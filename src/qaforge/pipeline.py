@@ -1,10 +1,10 @@
 """Run orchestration: staged processing, resumability, and reporting.
 
-A run owns a run directory holding the config snapshot, per-stage ledgers, and
-the final report. Processing is at-least-once with idempotent ledgers: any
-(stage, item) already logged is skipped on replay, so an interrupted run can
-resume without re-spending tokens, and a completed run resumes to completion
-with zero gateway calls.
+A run owns a run directory holding the config snapshot, the pinned eval index,
+per-stage ledgers, and the final report. Processing is at-least-once with
+idempotent ledgers: any (stage, item) already logged is skipped on replay, so
+an interrupted run can resume without re-spending tokens, and a completed run
+resumes to completion with zero gateway calls.
 
 Only documents that need the model cross to the thread pool: the heuristic
 filter runs on the ingest thread, where its rejects are logged and skipped.
@@ -38,13 +38,13 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .decontam import NGramIndex, build_index_from_dir, is_contaminated
+from .decontam import NGramIndex, is_contaminated, pinned_index
 from .errors import ConfigDriftError, ConfigError, RequestRejectedError, StructuredParseError
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
 from .gateway import Gateway, HTTPProvider, MockProvider, MockScript, TokenBucket
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
 from .ingest import IngestStats, dedup, sample_mixture
-from .ledger import RunLedger
+from .ledger import RunLedger, make_entry
 from .types import (
     PIPELINE_VERSION,
     CandidateQA,
@@ -150,12 +150,13 @@ class _RunContext:
     hook: Optional[StageHook] = None
 
     def log(self, stage: str, item_id: str, outcome: str, reason: str = "",
-            fingerprint: str = "", data: Optional[dict] = None) -> dict:
-        appended = self.ledger.log(stage, item_id, outcome, reason, fingerprint, data)
-        entry = self.ledger.get(stage, item_id)
-        if appended and self.hook is not None:
+            fingerprint: str = "", data: Optional[dict] = None) -> bool:
+        """Append one ledger row; False, and no hook call, when the item was already logged."""
+        if not self.ledger.log(stage, item_id, outcome, reason, fingerprint, data):
+            return False
+        if self.hook is not None:
             self.hook(stage, item_id, outcome)
-        return entry  # type: ignore[return-value]
+        return True
 
     def memo(self, stage: str, item_id: str, compute: Callable[[], StageResult],
              drop_data: Optional[dict] = None) -> dict:
@@ -170,9 +171,12 @@ class _RunContext:
         try:
             outcome, reason, data, fingerprint = compute()
         except tuple(DROP_REASONS) as exc:
+            outcome, data, fingerprint = "drop", drop_data, ""
             reason = next(r for cls, r in DROP_REASONS.items() if isinstance(exc, cls))
-            return self.log(stage, item_id, "drop", reason, data=drop_data)
-        return self.log(stage, item_id, outcome, reason, fingerprint, data)
+        if self.log(stage, item_id, outcome, reason, fingerprint, data):
+            return make_entry(item_id, outcome, reason, fingerprint, data)
+        # Another thread logged this item first; its row wins.
+        return self.ledger.get(stage, item_id)  # type: ignore[return-value]
 
 
 def _needs_llm(ctx: _RunContext, doc: Document) -> bool:
@@ -180,9 +184,9 @@ def _needs_llm(ctx: _RunContext, doc: Document) -> bool:
 
     A heuristic reject is logged here, so it never takes a thread or a window slot.
     """
-    entry = ctx.ledger.get("filter", doc.doc_id)
-    if entry is not None:
-        return entry["outcome"] == "pass"
+    outcome = ctx.ledger.outcome("filter", doc.doc_id)
+    if outcome is not None:
+        return outcome == "pass"
     verdict = heuristic_filter(doc, ctx.cfg.filter)
     if verdict.qualified:
         return True
@@ -354,8 +358,8 @@ def dataset_stats(path: str) -> dict[str, Any]:
 def _check_funnel(ledger: RunLedger, records_written: int) -> tuple[dict, list[str]]:
     funnel = ledger.replay_funnel()
     problems: list[str] = []
-    classify_pass_entries = [e for e in ledger.entries("classify") if e["outcome"] == "pass"]
-    expected_candidates = sum(len(e["data"]["personas"]) for e in classify_pass_entries)
+    expected_candidates = sum(len(e["data"]["personas"]) for e in ledger.entries("classify")
+                              if e["outcome"] == "pass")
     checks = [
         ("filter.in == ingest.pass", funnel["filter"]["in"], funnel["ingest"]["pass"]),
         ("classify.in == filter.pass", funnel["classify"]["in"], funnel["filter"]["pass"]),
@@ -440,10 +444,8 @@ def run_pipeline(
 
     gw = gateway if gateway is not None else build_gateway(cfg.gateway)
     demos = DemoLibrary.load(cfg.generate.demo_path)
-    if cfg.decontaminate.eval_dir:
-        eval_index = build_index_from_dir(cfg.decontaminate.eval_dir, cfg.decontaminate.ngram)
-    else:
-        eval_index = NGramIndex(n=cfg.decontaminate.ngram)
+    eval_index = pinned_index(run_dir, cfg.decontaminate.eval_dir, cfg.decontaminate.ngram,
+                              resume=resume)
 
     ledger = RunLedger(run_dir)
     writer = _DatasetWriter(cfg.run.out, resume=resume)

@@ -145,7 +145,7 @@ def test_answer_offset_is_shifted_past_question():
 
 def test_empty_eval_stream():
     idx = build_index([], n=13)
-    assert idx.grams == set() and idx.source_count == 0
+    assert len(idx.grams) == 0 and idx.source_count == 0
     assert not is_contaminated("any question at all", "any answer", idx).contaminated
 
 

@@ -1,0 +1,150 @@
+"""The eval index is pinned in the run dir, and a resume screens against it."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from fixture_builder import build_fixture
+
+from conftest import read_jsonl
+from qaforge import cli
+from qaforge.decontam import INDEX_FILE, build_index, build_index_from_dir, is_contaminated, read_index
+from qaforge.errors import ConfigDriftError
+from qaforge.gateway import Gateway, MockProvider, MockScript
+from qaforge.pipeline import resume_run, run_pipeline
+
+
+class Interrupt(BaseException):
+    pass
+
+
+def counted_gateway(bundle, concurrency=4):
+    provider = MockProvider(MockScript.load(str(bundle.mock_path)))
+    return provider, Gateway(provider, concurrency=concurrency, sleep=lambda _s: None)
+
+
+def crash_at_first(stage_name):
+    def hook(stage, item_id, outcome):
+        if stage == stage_name:
+            raise Interrupt()
+
+    return hook
+
+
+def sans_created_at(rows):
+    for row in rows:
+        row.pop("created_at", None)
+        if isinstance(row.get("data"), dict):
+            row["data"].pop("created_at", None)
+    return rows
+
+
+def ledger_rows(run_dir, stage):
+    return sorted(json.dumps(row, sort_keys=True)
+                  for row in sans_created_at(read_jsonl(run_dir / "ledgers" / f"{stage}.jsonl")))
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """One uninterrupted run on the original eval dir."""
+    bundle = build_fixture(tmp_path_factory.mktemp("reference"))
+    provider, gw = counted_gateway(bundle)
+    run_pipeline(bundle.config(), gateway=gw)
+    run_dir = bundle.root / "run"
+    return {
+        "calls": dict(provider.calls),
+        "decontaminate": ledger_rows(run_dir, "decontaminate"),
+        "generate": read_jsonl(run_dir / "ledgers" / "generate.jsonl"),
+        "dataset": sans_created_at(read_jsonl(bundle.root / "records.jsonl")),
+    }
+
+
+def crashed_run(root, stage="decontaminate"):
+    bundle = build_fixture(root)
+    provider, gw = counted_gateway(bundle, concurrency=1)
+    with pytest.raises(Interrupt):
+        run_pipeline(bundle.config(), gateway=gw, on_stage_logged=crash_at_first(stage))
+    return bundle, provider
+
+
+def test_resume_screens_against_the_pinned_index(tmp_path, reference):
+    bundle, first = crashed_run(tmp_path)
+    run_dir = bundle.root / "run"
+    screened = {row["item_id"] for row in read_jsonl(run_dir / "ledgers" / "decontaminate.jsonl")}
+    clean = [json.loads(r)["item_id"] for r in reference["decontaminate"]
+             if json.loads(r)["outcome"] == "pass"]
+    remaining = [item for item in clean if item not in screened]
+    assert remaining
+    question = next(r["data"]["question"] for r in reference["generate"]
+                    if r["item_id"] == remaining[-1])
+    # The eval dir changes between the crash and the resume: one more text
+    # would now contaminate a candidate that has not been screened yet.
+    (bundle.eval_dir / "late.jsonl").write_text(json.dumps({"text": question}) + "\n")
+    assert is_contaminated(question, "", build_index_from_dir(str(bundle.eval_dir))).contaminated
+
+    second, gw = counted_gateway(bundle)
+    report = resume_run(str(run_dir), gateway=gw)
+
+    assert report.funnel_consistent, report.funnel_problems
+    assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+    combined = dict(first.calls)
+    for stage, count in second.calls.items():
+        combined[stage] = combined.get(stage, 0) + count
+    assert combined == reference["calls"]
+
+
+def test_pinned_index_round_trips(tmp_path):
+    bundle = build_fixture(tmp_path)
+    run_pipeline(bundle.config(), gateway=counted_gateway(bundle)[1])
+    pinned = read_index(str(bundle.root / "run" / INDEX_FILE), 13)
+    assert pinned == build_index_from_dir(str(bundle.eval_dir), 13)
+    assert list(pinned.grams) == sorted(set(pinned.grams))
+
+
+@pytest.mark.parametrize("damage", ["version", "ngram", "truncated", "empty"])
+def test_damaged_index_header_refuses_resume(tmp_path, damage):
+    bundle, _ = crashed_run(tmp_path)
+    path = bundle.root / "run" / INDEX_FILE
+    blob = bytearray(path.read_bytes())
+    if damage == "version":
+        blob[8] += 1
+    elif damage == "ngram":
+        blob[12] += 1
+    elif damage == "truncated":
+        del blob[-3:]
+    else:
+        del blob[:]
+    path.write_bytes(bytes(blob))
+
+    provider, gw = counted_gateway(bundle)
+    with pytest.raises(ConfigDriftError):
+        resume_run(str(bundle.root / "run"), gateway=gw)
+    assert provider.total_calls == 0
+    assert cli.main(["resume", "--run-dir", str(bundle.root / "run")]) == cli.EXIT_DRIFT
+
+
+def test_run_dir_without_pinned_index_resumes(tmp_path, reference):
+    bundle, first = crashed_run(tmp_path)
+    run_dir = bundle.root / "run"
+    (run_dir / INDEX_FILE).unlink()  # as a run dir from before pinning
+
+    second, gw = counted_gateway(bundle)
+    report = resume_run(str(run_dir), gateway=gw)
+
+    assert report.funnel_consistent, report.funnel_problems
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+    assert first.total_calls + second.total_calls == sum(reference["calls"].values())
+    assert read_index(str(run_dir / INDEX_FILE), 13) == build_index_from_dir(str(bundle.eval_dir))
+
+
+def test_run_without_eval_dir_pins_an_empty_index(tmp_path):
+    path = tmp_path / INDEX_FILE
+    bundle = build_fixture(tmp_path / "fixture")
+    cfg = bundle.config()
+    cfg.decontaminate.eval_dir = ""
+    cfg.run.run_dir = str(tmp_path)
+    run_pipeline(cfg, gateway=counted_gateway(bundle)[1])
+    assert read_index(str(path), 13) == build_index([], 13)

@@ -179,6 +179,26 @@ def test_ledger_tolerates_torn_tail(tmp_path):
     reloaded.close()
 
 
+def test_ledger_append_after_torn_tail_survives_the_next_load(tmp_path):
+    ledger = RunLedger(str(tmp_path))
+    ledger.log("generate", "a", "pass")
+    ledger.close()
+    path = tmp_path / "ledgers" / "generate.jsonl"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"item_id": "b", "outc')  # crash mid-append
+    resumed = RunLedger(str(tmp_path))
+    assert resumed.log("generate", "c", "pass", data={"question": "why?"}) is True
+    resumed.close()
+    reloaded = RunLedger(str(tmp_path))
+    try:
+        assert reloaded.get("generate", "c")["data"] == {"question": "why?"}
+        assert reloaded.get("generate", "b") is None
+        assert [row["item_id"] for row in reloaded.entries("generate")] == ["a", "c"]
+    finally:
+        reloaded.close()
+    assert [json.loads(line)["item_id"] for line in path.read_text().splitlines()] == ["a", "c"]
+
+
 def test_ledger_unlocked_get_agrees_with_racing_writers(tmp_path):
     """Every item has one winning entry, and every get returns that entry."""
     ledger = RunLedger(str(tmp_path))
