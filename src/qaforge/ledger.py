@@ -131,11 +131,15 @@ class RunLedger:
         if item_id in self._rows[stage]:
             return False  # a resume re-logs every ingested item; checked again under the lock
         entry = make_entry(item_id, outcome, reason, fingerprint, data)
-        line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             rows = self._rows[stage]
             if item_id in rows:
                 return False
+            # Serialised under the lock on purpose: with json.dumps outside it,
+            # a worker that is about to block on the lock first holds the
+            # interpreter lock for the whole dump, and the ingest thread of a
+            # CPU-bound run waits on it (measured on the cpu_bulk benchmark).
+            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
             fh = self._file(stage)
             fh.write(line)
             fh.flush()
