@@ -156,15 +156,18 @@ def load_eval_dir(eval_dir: str) -> Iterator[str]:
         if name.endswith(".jsonl")
     )
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        # A line that is not UTF-8 is skipped like a line that is not JSON.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for raw in fh:
                 if not raw.strip():
                     continue
                 try:
                     rec = json.loads(raw)
-                except json.JSONDecodeError:
+                    text = rec.get("text") if isinstance(rec, dict) else None
+                    if isinstance(text, str):
+                        text.encode("utf-8")
+                except ValueError:
                     continue
-                text = rec.get("text") if isinstance(rec, dict) else None
                 if isinstance(text, str) and text:
                     yield text
 

@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .errors import (
     PermanentProviderError,
@@ -31,15 +31,6 @@ from .errors import (
     TransportError,
 )
 from .types import content_hash
-
-
-def __getattr__(name: str) -> Any:
-    # `qaforge.gateway.requests` still resolves, loading the package on first use.
-    if name == "requests":
-        import requests
-
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StageTag(str, Enum):

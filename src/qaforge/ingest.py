@@ -66,7 +66,9 @@ def read_documents(
     lineno = 0
     for path in _source_files(spec):
         try:
-            fh = open(path, "r", encoding="utf-8")
+            # Bytes that are not UTF-8 decode to lone surrogates, so one bad
+            # line fails its own parse below instead of the whole file.
+            fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise IngestError(f"source {spec.source!r}: cannot read {path}: {exc}") from exc
         with fh:
@@ -81,7 +83,8 @@ def read_documents(
                     text = rec["text"]
                     if not isinstance(text, str):
                         raise ValueError("text is not a string")
-                except (json.JSONDecodeError, KeyError, ValueError):
+                    text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
+                except (KeyError, ValueError):
                     if stats is not None:
                         stats.dropped_parse += 1
                     if on_drop is not None:

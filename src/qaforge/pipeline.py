@@ -25,7 +25,7 @@ import statistics
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Optional
 
@@ -51,7 +51,6 @@ from .types import (
     Document,
     Domain,
     Persona,
-    QARecord,
     make_record_id,
 )
 from .verify import verify_qa
@@ -83,44 +82,62 @@ def build_gateway(gcfg: GatewayConfig) -> Gateway:
 
 
 class _DatasetWriter:
-    """Single-writer JSONL emitter with resume-safe dedup.
+    """Single-writer JSONL emitter; the file is the only copy of each record.
 
-    On resume, the existing file is salvaged up to its last complete line and
-    already-written record ids are skipped, so a crash mid-append never yields
-    duplicates.
+    Records arrive in drain order, the same on every pass over a run dir, so
+    the file is a prefix of that order. On resume the writer cuts a torn tail,
+    counts the k complete lines and skips the first k records. The k-th must
+    carry the last line's record id and the run must reach k records; else the
+    sources changed since the crash, and ConfigDriftError is raised before
+    anything is written.
     """
 
     def __init__(self, path: str, resume: bool):
         self.path = path
-        self.seen: set[str] = set()
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
+        self.count = 0  # complete lines in the file
+        end = 0
+        self._last = b""  # the last complete line, whose record id a resume checks
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         if resume and os.path.exists(path):
             with open(path, "rb") as fh:
-                blob = fh.read()
-            cut = blob.rfind(b"\n")
-            keep = blob[: cut + 1] if cut >= 0 else b""
-            with open(path, "wb") as fh:
-                fh.write(keep)
-            for raw in keep.decode("utf-8").splitlines():
-                try:
-                    self.seen.add(json.loads(raw)["record_id"])
-                except (json.JSONDecodeError, KeyError):
-                    continue
-        else:
-            open(path, "w").close()
-        self._fh = open(path, "a", encoding="utf-8")
+                for raw in fh:
+                    if not raw.endswith(b"\n"):
+                        break  # torn tail line from a crash mid-append
+                    self.count += 1
+                    end += len(raw)
+                    self._last = raw
+        self._skip = self.count
+        self._fh = open(path, "ab")
+        self._fh.truncate(end)
 
     def append(self, records: list[dict]) -> None:
         for rec in records:
-            if rec["record_id"] in self.seen:
+            if self._skip:
+                self._skip -= 1
+                if not self._skip and rec["record_id"] != _record_id(self._last):
+                    self._drift(f"line {self.count} is not record {rec['record_id']}")
                 continue
-            self.seen.add(rec["record_id"])
-            self._fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            line = json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+            self._fh.write(line.encode("utf-8"))
+            self.count += 1
         self._fh.flush()
+
+    def finish(self) -> None:
+        if self._skip:
+            self._drift(f"holds {self.count} records, the run only {self.count - self._skip}")
+
+    def _drift(self, what: str) -> None:
+        raise ConfigDriftError(f"{self.path} {what}: the sources changed since the run started")
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _record_id(line: bytes) -> Optional[str]:
+    try:
+        return json.loads(line)["record_id"]
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 # The per-item failure policy. Each exception listed here is expected of one
@@ -279,44 +296,37 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
         dentry = ctx.memo("decontaminate", item_id, lambda: _decontaminate(ctx, qa))
         if dentry["outcome"] != "pass":
             continue
+        audit = {
+            "filter": {"outcome": "pass", "phase": fentry["data"].get("phase", "llm"),
+                       "truncated": fentry["data"].get("truncated", False)},
+            "classify": {"outcome": "pass", "domain": domain.value, "personas": len(personas)},
+            "generate": {"outcome": "pass", "fingerprint": qa.gen_fingerprint,
+                         "few_shot_ids": qa.few_shot_ids},
+            "verify": {"outcome": "pass", "correct": True, "leaked": False},
+            "decontaminate": {"outcome": "clean",
+                              "matched_grams": dentry["data"]["matched_gram_count"]},
+        }
         explanation = None
-        audit_distill = None
         if cfg.generate.sft_distill:
             tentry = ctx.memo("distill", item_id, lambda: _distill(ctx, llm_text, qa))
             explanation = tentry["data"].get("explanation")
-            audit_distill = {"outcome": "pass", "explained": explanation is not None}
-
+            audit["distill"] = {"outcome": "pass", "explained": explanation is not None}
         record_id = make_record_id(doc.doc_id, persona.rank, qa.question)
-
-        def write() -> StageResult:
-            audit = {
-                "filter": {"outcome": "pass", "phase": fentry["data"].get("phase", "llm"),
-                           "truncated": fentry["data"].get("truncated", False)},
-                "classify": {"outcome": "pass", "domain": domain.value, "personas": len(personas)},
-                "generate": {"outcome": "pass", "fingerprint": qa.gen_fingerprint,
-                             "few_shot_ids": qa.few_shot_ids},
-                "verify": {"outcome": "pass", "correct": True, "leaked": False},
-                "decontaminate": {"outcome": "clean",
-                                  "matched_grams": dentry["data"]["matched_gram_count"]},
-            }
-            if audit_distill is not None:
-                audit["distill"] = audit_distill
-            record = QARecord(
-                record_id=record_id,
-                doc_id=doc.doc_id,
-                source=doc.source,
-                domain=domain,
-                persona=persona,
-                question=qa.question,
-                answer=qa.answer,
-                explanation=explanation,
-                audit=audit,
-                pipeline_version=PIPELINE_VERSION,
-                created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            )
-            return "pass", "", record.to_dict(), ""
-
-        records.append(ctx.memo("write", record_id, write)["data"])
+        records.append({
+            "record_id": record_id,
+            "doc_id": doc.doc_id,
+            "source": doc.source,
+            "domain": domain.value,
+            "persona": {"label": persona.label, "rank": persona.rank},
+            "question": qa.question,
+            "answer": qa.answer,
+            "explanation": explanation,
+            "audit": audit,
+            "pipeline_version": PIPELINE_VERSION,
+            "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        })
+        # The row holds no payload: the dataset file is the only copy of the record.
+        ctx.log("write", record_id, "pass")
     return records
 
 
@@ -480,6 +490,7 @@ def run_pipeline(
                         writer.append(pending.popleft().result())
                 while pending:
                     writer.append(pending.popleft().result())
+                writer.finish()
             except BaseException:
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
@@ -487,7 +498,7 @@ def run_pipeline(
         writer.close()
         ledger.close()
 
-    records_written = len(writer.seen)
+    records_written = writer.count
     funnel, problems = _check_funnel(ledger, records_written)
     reasons = {
         stage: {f"{o}:{r}" if r else o: c for (o, r), c in sorted(ledger.outcome_counts(stage).items())}

@@ -171,13 +171,31 @@ class RewardVerifier:
         return result
 
 
+def _line_fields(raw: str, defaults: dict[str, Optional[str]]) -> dict[str, str]:
+    """The named string fields of one JSON-object line; a None default marks a required one.
+
+    Raises ValueError saying what is wrong (or RecursionError, from json.loads).
+    """
+    obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    fields = {name: obj.get(name, default) for name, default in defaults.items()}
+    bad = [name for name, value in fields.items() if not isinstance(value, str)]
+    if bad:
+        raise ValueError(f"missing or not a string: {', '.join(bad)}")
+    return fields
+
+
 def score_rollout_files(
     dataset_path: str,
     rollouts_path: str,
     out_fh: IO[str],
     verifier: RewardVerifier,
 ) -> dict[str, int]:
-    """Join rollouts to gold records on record_id and score each one."""
+    """Join rollouts to gold records on record_id and score each one.
+
+    A rollout line that --stdin would answer with an error counts as malformed.
+    """
     gold: dict[str, tuple[str, str]] = {}
     with open(dataset_path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -187,18 +205,23 @@ def score_rollout_files(
             gold[rec["record_id"]] = (rec["question"], rec["answer"])
     scored = 0
     unmatched = 0
+    malformed = 0
     with open(rollouts_path, "r", encoding="utf-8") as fh:
         for raw in fh:
             if not raw.strip():
                 continue
-            roll = json.loads(raw)
-            record_id = roll.get("record_id", "")
+            try:
+                roll = _line_fields(raw, {"record_id": "", "rollout": ""})
+            except (ValueError, RecursionError):
+                malformed += 1
+                continue
+            record_id = roll["record_id"]
             if record_id not in gold:
                 unmatched += 1
                 continue
             question, answer = gold[record_id]
             result = verifier.score(
-                RewardRequest(question=question, gold_answer=answer, rollout=roll.get("rollout", ""))
+                RewardRequest(question=question, gold_answer=answer, rollout=roll["rollout"])
             )
             out_fh.write(
                 json.dumps(
@@ -213,7 +236,7 @@ def score_rollout_files(
                 + "\n"
             )
             scored += 1
-    return {"scored": scored, "unmatched": unmatched}
+    return {"scored": scored, "unmatched": unmatched, "malformed": malformed}
 
 
 def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO[str] = sys.stdout) -> int:
@@ -229,18 +252,9 @@ def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO
         if not raw.strip():
             continue
         try:
-            req = json.loads(raw)
-            if not isinstance(req, dict):
-                raise ValueError(f"expected a JSON object, got {type(req).__name__}")
             request = RewardRequest(
-                question=req.get("question", ""),
-                gold_answer=req["gold_answer"],
-                rollout=req.get("rollout", ""),
-            )
-            bad = [name for name, value in vars(request).items() if not isinstance(value, str)]
-            if bad:
-                raise ValueError(f"not a string: {', '.join(bad)}")
-        except (ValueError, KeyError, RecursionError) as exc:
+                **_line_fields(raw, {"question": "", "gold_answer": None, "rollout": ""}))
+        except (ValueError, RecursionError) as exc:
             out_fh.write(json.dumps({"error": f"bad request: {exc}"}) + "\n")
             out_fh.flush()
             continue

@@ -144,35 +144,5 @@ class VerifyVerdict:
         return self.correct and not self.leaked
 
 
-@dataclass
-class QARecord:
-    record_id: str
-    doc_id: str
-    source: str
-    domain: Domain
-    persona: Persona
-    question: str
-    answer: str
-    explanation: Optional[str] = None
-    audit: dict[str, Any] = field(default_factory=dict)
-    pipeline_version: str = ""
-    created_at: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "record_id": self.record_id,
-            "doc_id": self.doc_id,
-            "source": self.source,
-            "domain": self.domain.value,
-            "persona": {"label": self.persona.label, "rank": self.persona.rank},
-            "question": self.question,
-            "answer": self.answer,
-            "explanation": self.explanation,
-            "audit": self.audit,
-            "pipeline_version": self.pipeline_version,
-            "created_at": self.created_at,
-        }
-
-
 def make_record_id(doc_id: str, persona_rank: int, question: str) -> str:
     return content_hash(doc_id, str(persona_rank), question)

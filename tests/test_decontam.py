@@ -13,6 +13,7 @@ from qaforge.decontam import (
     build_index,
     gram_hash,
     is_contaminated,
+    load_eval_dir,
     normalize_text,
 )
 from qaforge.types import content_hash
@@ -153,6 +154,14 @@ def test_whitespace_only_eval_items_are_skipped():
     idx = build_index(["   ", "\t", "?!"], n=5)
     assert idx.source_count == 0
     assert not is_contaminated("some words here", "", idx).contaminated
+
+
+def test_eval_lines_that_are_not_utf8_are_skipped(tmp_path):
+    (tmp_path / "bench.jsonl").write_bytes(
+        b'{"text": "alpha"}\n{"text": "bad \xff byte"}\n{"text": "lone \\ud800"}\n'
+        b'\xff\n{"text": "omega"}\n'
+    )
+    assert list(load_eval_dir(str(tmp_path))) == ["alpha", "omega"]
 
 
 def test_thirteen_word_span_detected_at_default_n():

@@ -479,7 +479,7 @@ def test_http_provider_success(monkeypatch):
         )
 
     monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-    monkeypatch.setattr("qaforge.gateway.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     resp = HTTPProvider("http://llm.internal/v1").send(make_req())
     assert resp.text == "hi there"
     assert (resp.input_tokens, resp.output_tokens) == (11, 7)
@@ -493,7 +493,7 @@ def test_http_provider_status_classification(monkeypatch, status, exc):
 
     monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
     monkeypatch.setattr(
-        "qaforge.gateway.requests.post", lambda *a, **k: FakeHTTPResponse(status, text="err")
+        "requests.post", lambda *a, **k: FakeHTTPResponse(status, text="err")
     )
     with pytest.raises(exc):
         HTTPProvider("http://llm.internal/v1").send(make_req())
@@ -506,7 +506,7 @@ def test_http_provider_rejection_scope(monkeypatch, status, item_scoped):
 
     monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
     monkeypatch.setattr(
-        "qaforge.gateway.requests.post", lambda *a, **k: FakeHTTPResponse(status, text="err")
+        "requests.post", lambda *a, **k: FakeHTTPResponse(status, text="err")
     )
     with pytest.raises(PermanentProviderError) as info:
         HTTPProvider("http://llm.internal/v1").send(make_req())
@@ -530,6 +530,6 @@ def test_http_provider_connection_error_is_transient(monkeypatch):
         raise requests_lib.ConnectionError("refused")
 
     monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
-    monkeypatch.setattr("qaforge.gateway.requests.post", boom)
+    monkeypatch.setattr("requests.post", boom)
     with pytest.raises(TransientProviderError):
         HTTPProvider("http://llm.internal/v1").send(make_req())

@@ -46,6 +46,26 @@ def test_malformed_and_empty_lines_are_counted(tmp_path):
     assert stats.lines == 5
 
 
+def test_lines_that_are_not_utf8_are_parse_drops(tmp_path):
+    """A bad byte or a lone surrogate costs its own line, not the source."""
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(
+        b'{"text": "good one"}\n'
+        b'{"text": "bad \xff byte"}\r\n'
+        b'{"text": "lone \\ud800"}\r'
+        b'\xfe\xfe\n'
+        b'{"text": "good two"}\n'
+    )
+    stats = IngestStats()
+    drops = []
+    docs = list(
+        read_documents(SourceSpec("a", str(path)), stats, lambda s, k, r: drops.append((k, r)))
+    )
+    assert [d.text for d in docs] == ["good one", "good two"]
+    assert drops == [("a:L2", "parse"), ("a:L3", "parse"), ("a:L4", "parse")]
+    assert stats.lines == 5 and stats.dropped_parse == 3
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "a.jsonl"
     path.write_text("")

@@ -264,7 +264,7 @@ def test_writer_salvages_torn_line(tmp_path):
     writer = _DatasetWriter(str(path), resume=True)
     writer.close()
     assert path.read_text() == good + "\n"
-    assert writer.seen == {"r1"}
+    assert writer.count == 1
 
 
 def test_writer_fresh_run_truncates(tmp_path):
@@ -273,6 +273,80 @@ def test_writer_fresh_run_truncates(tmp_path):
     writer = _DatasetWriter(str(path), resume=False)
     writer.close()
     assert path.read_text() == ""
+
+
+def test_write_rows_hold_ids_only(tmp_path):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3)
+    run_pipeline(load_config(str(cfg_path)))
+    rows = RunLedger(str(tmp_path / "run")).entries("write")
+    # Workers log in completion order; the dataset is in drain order.
+    assert sorted((e["item_id"], e["outcome"], e["data"]) for e in rows) == sorted(
+        (r["record_id"], "pass", {}) for r in read_jsonl(tmp_path / "records.jsonl")
+    )
+
+
+def test_resume_after_a_source_edit_refuses_to_mix_datasets(tmp_path, capsys):
+    """Records already written came from a line that is gone: exit 2, dataset untouched."""
+    cfg_path, _ = mini_config(tmp_path, n_docs=8, concurrency=1)
+
+    class Boom(BaseException):
+        pass
+
+    writes = []
+
+    def crash_on_sixth_write(stage, item_id, outcome):
+        if stage == "write":
+            writes.append(item_id)
+            if len(writes) == 6:
+                raise Boom()
+
+    with pytest.raises(Boom):
+        run_pipeline(load_config(str(cfg_path)), on_stage_logged=crash_on_sixth_write)
+    out = tmp_path / "records.jsonl"
+    before = out.read_bytes()
+    assert len(read_jsonl(out)) >= 1
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(corpus.read_text().splitlines(keepends=True)[1:]))
+    assert cli.main(["resume", "--run-dir", str(tmp_path / "run")]) == 2
+    assert "sources changed" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_resume_with_an_extra_dataset_line_exits_2(tmp_path, capsys):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3)
+    run_pipeline(load_config(str(cfg_path)))
+    out = tmp_path / "records.jsonl"
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"record_id": "stray"}) + "\n")
+    before = out.read_bytes()
+    assert cli.main(["resume", "--run-dir", str(tmp_path / "run")]) == 2
+    assert "holds 4 records" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_resume_rewrites_a_torn_last_record(tmp_path):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3)
+    run_pipeline(load_config(str(cfg_path)))
+    out = tmp_path / "records.jsonl"
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:2]) + lines[2][:-40])
+    provider = MockProvider(default_script())
+    report = resume_run(str(tmp_path / "run"), gateway=Gateway(provider))
+    assert provider.total_calls == 0
+    assert report.records_written == 3
+    again = out.read_bytes().splitlines(keepends=True)
+    assert again[:2] == lines[:2]
+    assert json.loads(again[2])["record_id"] == json.loads(lines[2])["record_id"]
+
+
+def test_run_survives_source_lines_that_are_not_utf8(tmp_path):
+    cfg_path, _ = mini_config(tmp_path, n_docs=2)
+    with open(tmp_path / "corpus.jsonl", "ab") as fh:
+        fh.write(b'{"text": "bad \xff byte"}\n{"text": "lone \\ud800"}\n')
+    report = run_pipeline(load_config(str(cfg_path)))
+    assert report.records_written == 2
+    assert report.reasons["ingest"] == {"drop:parse": 2, "pass": 2}
+    assert report.ingest["mini"]["dropped_parse"] == 2
 
 
 # ---------------------------------------------------------------- stats

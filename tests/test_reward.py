@@ -245,10 +245,28 @@ def test_score_rollout_files(tmp_path):
     )
     out = io.StringIO()
     summary = score_rollout_files(str(dataset), str(rollouts), out, RewardVerifier())
-    assert summary == {"scored": 2, "unmatched": 1}
+    assert summary == {"scored": 2, "unmatched": 1, "malformed": 0}
     lines = [json.loads(l) for l in out.getvalue().splitlines()]
     assert [l["reward"] for l in lines] == [1, 0]
     assert lines[0]["record_id"] == "r1"
+
+
+def test_score_rollout_files_counts_malformed_lines(tmp_path):
+    dataset = tmp_path / "qa.jsonl"
+    rollouts = tmp_path / "rollouts.jsonl"
+    dataset.write_text(json.dumps({"record_id": "r1", "question": "Q1", "answer": "7"}) + "\n")
+    rollouts.write_text(
+        "[1,2]\n"
+        '{"record_id": "r1", "rollout": 5}\n'
+        '{"record_id": ["r1"], "rollout": "Answer: 7"}\n'
+        "{not json\n"
+        + "[" * 100_000 + "]" * 100_000 + "\n"
+        + json.dumps({"record_id": "r1", "rollout": "Answer: 7"}) + "\n"
+    )
+    out = io.StringIO()
+    summary = score_rollout_files(str(dataset), str(rollouts), out, RewardVerifier())
+    assert summary == {"scored": 1, "unmatched": 0, "malformed": 5}
+    assert [json.loads(l)["reward"] for l in out.getvalue().splitlines()] == [1]
 
 
 def test_serve_stdin_line_protocol():
