@@ -47,15 +47,9 @@ def parse_personas(raw: str, max_personas: int = 3) -> list[Persona]:
 
 
 def build_classify_request(llm_text: str, cfg: ClassifyConfig) -> ChatRequest:
-    system, user = prompts.render_classify(llm_text)
-    return ChatRequest(
-        model=cfg.model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.CLASSIFY,
-        max_output_tokens=cfg.max_output_tokens,
-        temperature=cfg.temperature,
-    )
+    user = prompts.CLASSIFY_TEMPLATE.format(domains=prompts.DOMAINS_CLAUSE, document=llm_text)
+    return prompts.stage_request(StageTag.CLASSIFY, user, cfg.model, cfg.temperature,
+                                 cfg.max_output_tokens)
 
 
 def classify_and_assign(

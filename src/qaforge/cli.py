@@ -18,6 +18,7 @@ from .decontam import build_index_from_dir, is_contaminated
 from .errors import ConfigDriftError, QAForgeError
 from .pipeline import build_gateway, dataset_stats, resume_run, run_pipeline
 from .reward import RewardVerifier, score_rollout_files, serve_stdin
+from .types import BAD_LINE, line_fields
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -47,6 +48,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     stats = dataset_stats(args.dataset)
+    if stats["malformed"]:
+        print(f"malformed lines skipped: {stats['malformed']}")
     if stats["records"] == 0:
         print("0 records")
         return EXIT_OK
@@ -69,24 +72,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_decontaminate(args: argparse.Namespace) -> int:
     index = build_index_from_dir(args.eval_dir, args.ngram)
     out_path = args.out or (args.dataset + ".clean.jsonl")
-    checked = contaminated = written = 0
-    with open(args.dataset, "r", encoding="utf-8") as src, open(
-        out_path, "w", encoding="utf-8"
-    ) as dst:
+    checked = contaminated = written = malformed = 0
+    with open(args.dataset, "rb") as src, open(out_path, "wb") as dst:
         for raw in src:
             if not raw.strip():
                 continue
-            rec = json.loads(raw)
+            try:
+                rec = line_fields(raw, {"question": "", "answer": ""})
+            except BAD_LINE:
+                malformed += 1  # a line that cannot be screened is not copied
+                continue
             checked += 1
-            report = is_contaminated(rec.get("question", ""), rec.get("answer", ""), index)
-            if report.contaminated:
+            if is_contaminated(rec["question"], rec["answer"], index).contaminated:
                 contaminated += 1
                 continue
-            dst.write(raw if raw.endswith("\n") else raw + "\n")
+            dst.write(raw if raw.endswith(b"\n") else raw + b"\n")
             written += 1
     print(json.dumps({
         "checked": checked,
         "contaminated": contaminated,
+        "malformed": malformed,
         "written": written,
         "ngram": args.ngram,
         "eval_grams": len(index.grams),

@@ -36,7 +36,7 @@ class GatewayConfig:
     base_url: str = "https://api.openai.com/v1"
     api_key_env: str = "OPENAI_API_KEY"
     concurrency: int = 4  # document threads and in-flight requests
-    rate_capacity: float = 0.0  # 0 disables rate limiting
+    rate_capacity: float = 0.0  # both 0 disables rate limiting
     rate_refill_per_s: float = 0.0
     max_attempts: int = 5
     backoff_base: float = 1.0
@@ -151,16 +151,27 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     for name, cls in _SECTIONS.items():
         kwargs[name] = _build(cls, data.get(name), name)
     cfg = PipelineConfig(**kwargs)
-    if cfg.gateway.concurrency < 1:
-        raise ConfigError("gateway.concurrency must be >= 1")
-    if cfg.gateway.max_attempts < 1:
-        raise ConfigError("gateway.max_attempts must be >= 1")
-    if cfg.gateway.max_reasks < 0:
-        raise ConfigError("gateway.max_reasks must be >= 0")
-    if cfg.generate.answer_max_chars < 1:
-        raise ConfigError("generate.answer_max_chars must be >= 1")
-    if cfg.decontaminate.ngram < 1:
-        raise ConfigError("decontaminate.ngram must be >= 1")
+    names = [s.source for s in sources]
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    gw = cfg.gateway
+    rate = (gw.rate_capacity, gw.rate_refill_per_s)
+    # Written as "ok" conditions, so a NaN fails them.
+    checks = [
+        (not dupes, f"duplicate source names: {dupes}"),
+        (gw.concurrency >= 1, "gateway.concurrency must be >= 1"),
+        (gw.max_attempts >= 1, "gateway.max_attempts must be >= 1"),
+        (gw.max_reasks >= 0, "gateway.max_reasks must be >= 0"),
+        (gw.backoff_base >= 0 and gw.backoff_cap >= 0,
+         "gateway.backoff_base and gateway.backoff_cap must be >= 0"),
+        (rate == (0, 0) or (rate[0] >= 1 and rate[1] > 0),
+         "gateway.rate_capacity must be >= 1 with rate_refill_per_s > 0, or both 0 (off)"),
+        (cfg.classify.max_personas >= 1, "classify.max_personas must be >= 1"),
+        (cfg.generate.answer_max_chars >= 1, "generate.answer_max_chars must be >= 1"),
+        (cfg.decontaminate.ngram >= 1, "decontaminate.ngram must be >= 1"),
+    ]
+    for ok, problem in checks:
+        if not ok:
+            raise ConfigError(problem)
     return cfg
 
 

@@ -222,7 +222,8 @@ def read_index(path: str, n: int) -> NGramIndex:
 def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramIndex:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    A new run builds it from eval_dir and writes the file. A resume loads the
+    A new run builds it from eval_dir, then creates run_dir and writes the
+    file, so a bad eval_dir leaves nothing behind. A resume loads the
     file, so it screens against the same grams even if eval_dir has changed
     since; a run dir from before pinning has no file, and gets one now.
     """
@@ -230,5 +231,6 @@ def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramI
     if resume and os.path.exists(path):
         return read_index(path, n)
     index = build_index_from_dir(eval_dir, n) if eval_dir else NGramIndex(n=n)
+    os.makedirs(run_dir, exist_ok=True)
     write_index(index, path)
     return index

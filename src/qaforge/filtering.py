@@ -52,15 +52,9 @@ def heuristic_filter(doc: Document, cfg: FilterConfig) -> FilterVerdict:
 
 
 def build_filter_request(llm_text: str, cfg: FilterConfig) -> ChatRequest:
-    system, user = prompts.render_filter(llm_text)
-    return ChatRequest(
-        model=cfg.model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.FILTER,
-        max_output_tokens=cfg.max_output_tokens,
-        temperature=cfg.temperature,
-    )
+    user = prompts.FILTER_TEMPLATE.format(document=llm_text)
+    return prompts.stage_request(StageTag.FILTER, user, cfg.model, cfg.temperature,
+                                 cfg.max_output_tokens)
 
 
 def _map_reject_reason(reason_text: str) -> FilterReason:

@@ -94,15 +94,10 @@ class DemoLibrary:
 def build_generate_request(
     llm_text: str, persona: Persona, demos: list[DemoExample], cfg: GenerateConfig
 ) -> ChatRequest:
-    system, user = prompts.render_generate(llm_text, persona, demos)
-    return ChatRequest(
-        model=cfg.model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.GENERATE,
-        max_output_tokens=cfg.max_output_tokens,
-        temperature=cfg.temperature,
-    )
+    user = prompts.GENERATE_TEMPLATE.format(
+        few_shot=prompts.few_shot_block(demos), document=llm_text, persona=persona.label)
+    return prompts.stage_request(StageTag.GENERATE, user, cfg.model, cfg.temperature,
+                                 cfg.max_output_tokens)
 
 
 def generate_qa(
@@ -148,15 +143,10 @@ def generate_qa(
 
 
 def build_distill_request(qa: CandidateQA, llm_text: str, cfg: GenerateConfig) -> ChatRequest:
-    system, user = prompts.render_distill(qa.question, qa.answer, llm_text[: cfg.excerpt_chars])
-    return ChatRequest(
-        model=cfg.distill_model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.DISTILL,
-        max_output_tokens=cfg.max_output_tokens,
-        temperature=cfg.distill_temperature,
-    )
+    user = prompts.DISTILL_TEMPLATE.format(
+        question=qa.question, answer=qa.answer, excerpt=llm_text[: cfg.excerpt_chars])
+    return prompts.stage_request(StageTag.DISTILL, user, cfg.distill_model,
+                                 cfg.distill_temperature, cfg.max_output_tokens)
 
 
 def distill_cot(

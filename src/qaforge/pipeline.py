@@ -46,11 +46,13 @@ from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot
 from .ingest import IngestStats, dedup, sample_mixture
 from .ledger import RunLedger, make_entry
 from .types import (
+    BAD_LINE,
     PIPELINE_VERSION,
     CandidateQA,
     Document,
     Domain,
     Persona,
+    line_fields,
     make_record_id,
 )
 from .verify import verify_qa
@@ -68,7 +70,7 @@ def build_gateway(gcfg: GatewayConfig) -> Gateway:
     else:
         provider = HTTPProvider(gcfg.base_url, gcfg.api_key_env)
     rate = None
-    if gcfg.rate_capacity >= 1 and gcfg.rate_refill_per_s > 0:
+    if gcfg.rate_capacity or gcfg.rate_refill_per_s:
         rate = TokenBucket(gcfg.rate_capacity, gcfg.rate_refill_per_s)
     return Gateway(
         provider,
@@ -337,22 +339,26 @@ def _percentile(values: list[int], q: float) -> int:
 
 
 def dataset_stats(path: str) -> dict[str, Any]:
-    """Distribution summary of a written dataset file."""
+    """Distribution summary of a written dataset file; lines that are not records are counted."""
     domains: dict[str, int] = {}
     sources: dict[str, int] = {}
     answer_lengths: list[int] = []
-    total = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    total = malformed = 0
+    with open(path, "rb") as fh:
         for raw in fh:
             if not raw.strip():
                 continue
-            rec = json.loads(raw)
+            try:
+                rec = line_fields(raw, {"domain": None, "source": None, "answer": None})
+            except BAD_LINE:
+                malformed += 1
+                continue
             total += 1
             domains[rec["domain"]] = domains.get(rec["domain"], 0) + 1
             sources[rec["source"]] = sources.get(rec["source"], 0) + 1
             answer_lengths.append(len(rec["answer"]))
-    out: dict[str, Any] = {"records": total, "domains": {}, "domain_proportions": {},
-                           "sources": sources, "answer_length": {}}
+    out: dict[str, Any] = {"records": total, "malformed": malformed, "domains": {},
+                           "domain_proportions": {}, "sources": sources, "answer_length": {}}
     if total:
         out["domains"] = dict(sorted(domains.items()))
         out["domain_proportions"] = {d: c / total for d, c in sorted(domains.items())}
@@ -441,21 +447,21 @@ def run_pipeline(
     start = time.monotonic()
     run_dir = cfg.run.run_dir
     snapshot_path = os.path.join(run_dir, "config.json")
-    if resume:
-        if not os.path.exists(snapshot_path):
-            raise ConfigError(f"cannot resume: no config snapshot in {run_dir}")
-    else:
-        if os.path.exists(snapshot_path):
-            raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
-        os.makedirs(run_dir, exist_ok=True)
-        with open(snapshot_path, "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    if resume and not os.path.exists(snapshot_path):
+        raise ConfigError(f"cannot resume: no config snapshot in {run_dir}")
+    if not resume and os.path.exists(snapshot_path):
+        raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
 
+    # Whatever a config or path mistake can fail runs before the run dir is
+    # written: pinned_index writes its file only once the index is built.
     gw = gateway if gateway is not None else build_gateway(cfg.gateway)
     demos = DemoLibrary.load(cfg.generate.demo_path)
     eval_index = pinned_index(run_dir, cfg.decontaminate.eval_dir, cfg.decontaminate.ngram,
                               resume=resume)
+    if not resume:
+        with open(snapshot_path, "w", encoding="utf-8") as fh:
+            json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     ledger = RunLedger(run_dir)
     writer = _DatasetWriter(cfg.run.out, resume=resume)

@@ -1,22 +1,27 @@
-"""Prompt templates for the pipeline stages.
+"""Prompt templates for the pipeline stages, and the one stage-request constructor.
 
 All stage prompts elicit plain "FIELD: value" lines so responses parse without
 any structured-output API. The format contract travels in the system message;
-the task text and the material travel in the user message. Both feed the
+the task text and the material travel in the user message. Each stage formats
+its template and hands the text, with its config's model, temperature and
+token cap, to stage_request: no other code builds a ChatRequest for a stage.
+The system message, the user message, the stage tag and the model feed the
 request fingerprint, so editing a template here changes every fingerprint
 downstream of it (and therefore invalidates recorded mock scripts).
+tests/test_golden_requests.py pins those fingerprints to literal values.
 """
 
 from __future__ import annotations
 
-from .types import DOMAIN_LABELS, DemoExample, Persona
+from .gateway import ChatRequest, StageTag
+from .types import DOMAIN_LABELS, DemoExample
 
 FORMAT_SYSTEM = (
     "You follow the output format exactly: reply only with the requested "
     "'FIELD: value' lines, one field per line, and nothing else."
 )
 
-_FILTER_TEMPLATE = """You are a helpful data analyst. You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to identify whether the material is qualified for the following criteria:
+FILTER_TEMPLATE = """You are a helpful data analyst. You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to identify whether the material is qualified for the following criteria:
 - The material is informative and self-contained for the user
 - It's possible to extract question and corresponding answer from the material
 - The content has sufficient depth and clarity
@@ -30,7 +35,9 @@ REASON: a short reason
 Material:
 {document}"""
 
-_CLASSIFY_TEMPLATE = """You are a helpful data analyst. You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to identify the domain and persona of the material.
+DOMAINS_CLAUSE = ", ".join(DOMAIN_LABELS.values())
+
+CLASSIFY_TEMPLATE = """You are a helpful data analyst. You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to identify the domain and persona of the material.
 
 Here are the instructions for the domain and persona:
 - The domain is the main topic of the material. You should choose one from the following domains: {domains}
@@ -45,7 +52,7 @@ PERSONAS: short persona descriptions separated by semicolons
 Material:
 {document}"""
 
-_GENERATE_TEMPLATE = """You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to generate a question and answer pair from the material.
+GENERATE_TEMPLATE = """You will be given a material which can come from very diverse sources and may not be well-structured. In this stage, your task is to generate a question and answer pair from the material.
 
 Here are the instructions for the question and answer generation:
 - You will act as the given persona. You should generate a question and answer pair from your perspective
@@ -68,7 +75,7 @@ Material:
 Persona:
 {persona}"""
 
-_VERIFY_TEMPLATE = """You are a data labeler. You will be given a material and a question and answer pair generated from the material. Your task is to check whether the question and answer pair is correct according to the material and whether there is info leakage from the question to the answer.
+VERIFY_TEMPLATE = """You are a data labeler. You will be given a material and a question and answer pair generated from the material. Your task is to check whether the question and answer pair is correct according to the material and whether there is info leakage from the question to the answer.
 
 Here are the instructions for checking:
 - For the answer correctness, you should check whether the answer is correct according to the original material
@@ -91,7 +98,7 @@ QA Pair:
 Question: {question}
 Answer: {answer}"""
 
-_JUDGE_TEMPLATE = """You are grading answers. Decide whether the candidate answer expresses the same final answer as the reference answer for the given question. Differences of casing, punctuation, spacing, or phrasing do not matter; the conveyed answer must match.
+JUDGE_TEMPLATE = """You are grading answers. Decide whether the candidate answer expresses the same final answer as the reference answer for the given question. Differences of casing, punctuation, spacing, or phrasing do not matter; the conveyed answer must match.
 
 Respond with:
 MATCH: yes or no
@@ -100,7 +107,7 @@ Question: {question}
 Reference answer: {gold}
 Candidate answer: {candidate}"""
 
-_DISTILL_TEMPLATE = """You will be given a question, its verified short answer, and an excerpt of the source material. Write a brief explanation (two to four sentences) that reasons from the material toward the answer and ends by stating the answer itself.
+DISTILL_TEMPLATE = """You will be given a question, its verified short answer, and an excerpt of the source material. Write a brief explanation (two to four sentences) that reasons from the material toward the answer and ends by stating the answer itself.
 
 Respond with:
 EXPLANATION: the explanation
@@ -130,39 +137,14 @@ LEAKAGE: yes
 RATIONALE: The question states the founding year, so the answer can be read directly from the question."""
 
 
-def domains_clause() -> str:
-    return ", ".join(DOMAIN_LABELS.values())
-
-
-def render_filter(document: str) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _FILTER_TEMPLATE.format(document=document)
-
-
-def render_classify(document: str) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _CLASSIFY_TEMPLATE.format(domains=domains_clause(), document=document)
-
-
-def render_few_shot(demos: list[DemoExample]) -> str:
-    blocks = []
-    for i, demo in enumerate(demos, 1):
-        blocks.append(f"Example {i}:\nQuestion: {demo.question}\nAnswer: {demo.answer}")
+def few_shot_block(demos: list[DemoExample]) -> str:
+    blocks = [f"Example {i}:\nQuestion: {d.question}\nAnswer: {d.answer}"
+              for i, d in enumerate(demos, 1)]
     return "\n\n".join(blocks) if blocks else "(no examples)"
 
-def render_generate(document: str, persona: Persona, demos: list[DemoExample]) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _GENERATE_TEMPLATE.format(
-        few_shot=render_few_shot(demos), document=document, persona=persona.label
-    )
 
-
-def render_verify(document: str, question: str, answer: str) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _VERIFY_TEMPLATE.format(
-        few_shot=VERIFY_FEW_SHOT, document=document, question=question, answer=answer
-    )
-
-
-def render_judge(question: str, gold: str, candidate: str) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _JUDGE_TEMPLATE.format(question=question, gold=gold, candidate=candidate)
-
-
-def render_distill(question: str, answer: str, excerpt: str) -> tuple[str, str]:
-    return FORMAT_SYSTEM, _DISTILL_TEMPLATE.format(question=question, answer=answer, excerpt=excerpt)
+def stage_request(stage: StageTag, user: str, model: str, temperature: float,
+                  max_output_tokens: int) -> ChatRequest:
+    """The one constructor of stage requests: FORMAT_SYSTEM plus the rendered template."""
+    return ChatRequest(model=model, system=FORMAT_SYSTEM, user=user, stage_tag=stage,
+                       max_output_tokens=max_output_tokens, temperature=temperature)

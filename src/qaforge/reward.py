@@ -17,7 +17,8 @@ from typing import IO, Optional
 from . import prompts
 from .config import RewardConfig
 from .errors import GatewayError
-from .gateway import ChatRequest, Gateway, StageTag, parse_yes_no
+from .gateway import Gateway, StageTag, parse_yes_no
+from .types import BAD_LINE, line_fields
 
 
 @dataclass
@@ -130,15 +131,10 @@ def judge_reward(
     """Semantic-equivalence fallback. Fail-closed: any failure scores 0."""
     cfg = cfg or RewardConfig()
     extracted = extract_final_answer(req.rollout, cfg)
-    system, user = prompts.render_judge(req.question, req.gold_answer, extracted)
-    chat = ChatRequest(
-        model=cfg.judge_model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.JUDGE,
-        max_output_tokens=64,
-        temperature=cfg.judge_temperature,
-    )
+    user = prompts.JUDGE_TEMPLATE.format(question=req.question, gold=req.gold_answer,
+                                         candidate=extracted)
+    chat = prompts.stage_request(StageTag.JUDGE, user, cfg.judge_model, cfg.judge_temperature,
+                                 max_output_tokens=64)
     if counters is not None:
         counters.judge_calls += 1
     try:
@@ -171,21 +167,6 @@ class RewardVerifier:
         return result
 
 
-def _line_fields(raw: str, defaults: dict[str, Optional[str]]) -> dict[str, str]:
-    """The named string fields of one JSON-object line; a None default marks a required one.
-
-    Raises ValueError saying what is wrong (or RecursionError, from json.loads).
-    """
-    obj = json.loads(raw)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    fields = {name: obj.get(name, default) for name, default in defaults.items()}
-    bad = [name for name, value in fields.items() if not isinstance(value, str)]
-    if bad:
-        raise ValueError(f"missing or not a string: {', '.join(bad)}")
-    return fields
-
-
 def score_rollout_files(
     dataset_path: str,
     rollouts_path: str,
@@ -194,25 +175,29 @@ def score_rollout_files(
 ) -> dict[str, int]:
     """Join rollouts to gold records on record_id and score each one.
 
-    A rollout line that --stdin would answer with an error counts as malformed.
+    A gold line without string record_id, question and answer is skipped, so
+    its rollouts count as unmatched. A rollout line that --stdin would answer
+    with an error, or that is not UTF-8, counts as malformed. Result lines are
+    ASCII-escaped, as --stdin's are.
     """
     gold: dict[str, tuple[str, str]] = {}
-    with open(dataset_path, "r", encoding="utf-8") as fh:
+    with open(dataset_path, "rb") as fh:
         for raw in fh:
-            if not raw.strip():
+            try:
+                rec = line_fields(raw, {"record_id": None, "question": None, "answer": None})
+            except BAD_LINE:
                 continue
-            rec = json.loads(raw)
             gold[rec["record_id"]] = (rec["question"], rec["answer"])
     scored = 0
     unmatched = 0
     malformed = 0
-    with open(rollouts_path, "r", encoding="utf-8") as fh:
+    with open(rollouts_path, "rb") as fh:
         for raw in fh:
             if not raw.strip():
                 continue
             try:
-                roll = _line_fields(raw, {"record_id": "", "rollout": ""})
-            except (ValueError, RecursionError):
+                roll = line_fields(raw, {"record_id": "", "rollout": ""})
+            except BAD_LINE:
                 malformed += 1
                 continue
             record_id = roll["record_id"]
@@ -223,18 +208,9 @@ def score_rollout_files(
             result = verifier.score(
                 RewardRequest(question=question, gold_answer=answer, rollout=roll["rollout"])
             )
-            out_fh.write(
-                json.dumps(
-                    {
-                        "record_id": record_id,
-                        "reward": result.reward,
-                        "method": result.method,
-                        "extracted_answer": result.extracted_answer,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            out_fh.write(json.dumps({"record_id": record_id, "reward": result.reward,
+                                     "method": result.method,
+                                     "extracted_answer": result.extracted_answer}) + "\n")
             scored += 1
     return {"scored": scored, "unmatched": unmatched, "malformed": malformed}
 
@@ -253,8 +229,8 @@ def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO
             continue
         try:
             request = RewardRequest(
-                **_line_fields(raw, {"question": "", "gold_answer": None, "rollout": ""}))
-        except (ValueError, RecursionError) as exc:
+                **line_fields(raw, {"question": "", "gold_answer": None, "rollout": ""}))
+        except BAD_LINE as exc:
             out_fh.write(json.dumps({"error": f"bad request: {exc}"}) + "\n")
             out_fh.flush()
             continue

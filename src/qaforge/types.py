@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
@@ -146,3 +147,24 @@ class VerifyVerdict:
 
 def make_record_id(doc_id: str, persona_rank: int, question: str) -> str:
     return content_hash(doc_id, str(persona_rank), question)
+
+
+# What line_fields raises on a line it cannot use.
+BAD_LINE = (ValueError, RecursionError)
+
+
+def line_fields(raw: str | bytes, defaults: dict[str, Optional[str]]) -> dict[str, str]:
+    """The named string fields of one JSON-object line; a None default marks a required one.
+
+    Every reader of dataset and reward lines validates with this. Raises
+    ValueError saying what is wrong (bytes that are not UTF-8 included), or
+    RecursionError from json.loads.
+    """
+    obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    fields = {name: obj.get(name, default) for name, default in defaults.items()}
+    bad = [name for name, value in fields.items() if not isinstance(value, str)]
+    if bad:
+        raise ValueError(f"missing or not a string: {', '.join(bad)}")
+    return fields

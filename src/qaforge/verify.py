@@ -14,15 +14,10 @@ from .types import CandidateQA, VerifyVerdict
 
 
 def build_verify_request(llm_text: str, qa: CandidateQA, cfg: VerifyConfig) -> ChatRequest:
-    system, user = prompts.render_verify(llm_text, qa.question, qa.answer)
-    return ChatRequest(
-        model=cfg.model,
-        system=system,
-        user=user,
-        stage_tag=StageTag.VERIFY,
-        max_output_tokens=cfg.max_output_tokens,
-        temperature=cfg.temperature,
-    )
+    user = prompts.VERIFY_TEMPLATE.format(few_shot=prompts.VERIFY_FEW_SHOT, document=llm_text,
+                                          question=qa.question, answer=qa.answer)
+    return prompts.stage_request(StageTag.VERIFY, user, cfg.model, cfg.temperature,
+                                 cfg.max_output_tokens)
 
 
 def verify_qa(llm_text: str, qa: CandidateQA, gateway: Gateway, cfg: VerifyConfig) -> VerifyVerdict:

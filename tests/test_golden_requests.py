@@ -1,0 +1,84 @@
+"""Golden stage requests: literal fingerprints for fixed inputs and the default config.
+
+Mock scripts are keyed by request fingerprint, so the exact bytes of every
+stage request are a contract. Every other test derives its fingerprints from
+the request builders themselves; this one pins them to literal values, so a
+changed template byte, system message, stage tag or model binding fails here.
+"""
+
+import pytest
+
+from qaforge.classify import build_classify_request
+from qaforge.config import ClassifyConfig, FilterConfig, GenerateConfig, RewardConfig, VerifyConfig
+from qaforge.filtering import build_filter_request
+from qaforge.gateway import StageTag, run_fingerprint
+from qaforge.generate import build_distill_request, build_generate_request
+from qaforge.reward import RewardRequest, judge_reward
+from qaforge.types import CandidateQA, DemoExample, Domain, Persona
+from qaforge.verify import build_verify_request
+
+# Longer than generate.excerpt_chars (2000), so the distill excerpt cut is pinned too.
+DOC = (
+    "The Harbor Authority dredged the north channel to a depth of 14 meters in 2019, "
+    "allowing container ships with a draft of up to 13 meters to dock at the east quay. "
+) * 15
+PERSONA = Persona(label="Port Logistics Planner", rank=2)
+DEMOS = [
+    DemoExample(demo_id="d1", domain=Domain.COMMERCE,
+                question="What is the minimum order quantity?", answer="500 units"),
+    DemoExample(demo_id="d2", domain=Domain.COMMERCE,
+                question="Which quarter saw the highest revenue?", answer="Q3"),
+]
+QA = CandidateQA(
+    doc_id="doc-1", domain=Domain.COMMERCE, persona=PERSONA,
+    question="To what depth was the north channel dredged in 2019?", answer="14 meters",
+)
+
+
+class RecordingGateway:
+    """Stands in for the gateway: records each request and answers MATCH: yes."""
+
+    def __init__(self):
+        self.requests = []
+
+    def complete_structured(self, req, fields):
+        self.requests.append(req)
+        return {"MATCH": "yes"}
+
+
+def judge_request():
+    gateway = RecordingGateway()
+    req = RewardRequest(question=QA.question, gold_answer=QA.answer,
+                        rollout="The channel is deep.\nAnswer: fourteen meters")
+    result = judge_reward(req, gateway, RewardConfig(judge=True))
+    assert result.reward == 1 and result.method == "judge"
+    assert len(gateway.requests) == 1
+    return gateway.requests[0]
+
+
+REQUESTS = {
+    "filter": lambda: build_filter_request(DOC, FilterConfig()),
+    "classify": lambda: build_classify_request(DOC, ClassifyConfig()),
+    "generate": lambda: build_generate_request(DOC, PERSONA, DEMOS, GenerateConfig()),
+    "verify": lambda: build_verify_request(DOC, QA, VerifyConfig()),
+    "distill": lambda: build_distill_request(QA, DOC, GenerateConfig()),
+    "judge": judge_request,
+}
+
+# stage -> (fingerprint, model, temperature, max_output_tokens)
+GOLDEN = {
+    "filter": ("22e23e4ea0c3f67d8107f94a92dad3c9", "gpt-4.1", 0.0, 256),
+    "classify": ("981ef42f05249ee35f330c890f8c3ff9", "gpt-4.1-mini", 0.0, 256),
+    "generate": ("8d1dac4a1462ad19865be362a36e6e83", "gpt-4.1", 0.7, 1024),
+    "verify": ("5c9473cda74d69f8a27fd78daf603494", "gpt-4.1-mini", 0.0, 512),
+    "distill": ("2f63f3113ed1925878fc53641176a4ae", "gpt-4.1", 0.7, 1024),
+    "judge": ("0bdbf2ce31bd8f89340880e7051b5060", "gpt-4.1-mini", 0.0, 64),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(GOLDEN))
+def test_stage_request_is_pinned(stage):
+    req = REQUESTS[stage]()
+    assert req.stage_tag == StageTag(stage)
+    assert (run_fingerprint(req), req.model, req.temperature, req.max_output_tokens) \
+        == GOLDEN[stage]

@@ -26,11 +26,13 @@ from qaforge.errors import (
 )
 from qaforge.filtering import heuristic_filter
 from qaforge.gateway import (
+    ChatRequest,
     ChatResponse,
     Gateway,
     MockProvider,
     MockScript,
     StageTag,
+    TokenBucket,
     run_fingerprint,
 )
 from qaforge.ledger import RunLedger
@@ -45,6 +47,7 @@ from qaforge.pipeline import (
 from qaforge.types import Document
 
 from conftest import read_jsonl, write_jsonl
+from test_gateway import FakeClock, FlakyProvider
 
 
 def prose(tag, n_chars=400):
@@ -120,11 +123,72 @@ def test_unknown_source_key_rejected():
         {"decontaminate": {"ngram": 0}},
         {"gateway": {"max_attempts": 0}},
         {"gateway": {"max_reasks": -1}},
+        {"sources": [{"source": "a", "path": "p"}, {"source": "a", "path": "q"}]},
+        {"classify": {"max_personas": 0}},
+        {"classify": {"max_personas": -1}},
+        {"gateway": {"rate_capacity": 5, "rate_refill_per_s": 0}},
+        {"gateway": {"rate_capacity": 0.5, "rate_refill_per_s": 10}},
+        {"gateway": {"rate_capacity": 0, "rate_refill_per_s": 10}},
+        {"gateway": {"backoff_base": -1.0}},
+        {"gateway": {"backoff_base": float("nan")}},
+        {"gateway": {"backoff_cap": -1.0}},
+        {"gateway": {"backoff_cap": float("nan")}},
     ],
 )
 def test_bound_validation(data):
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "section, key, bad",
+    [
+        ("decontaminate", "eval_dir", "evals-typo"),
+        ("gateway", "mock_script", "mock-typo.jsonl"),
+        ("generate", "demo_path", "demos-typo.jsonl"),
+    ],
+)
+def test_a_bad_path_writes_nothing_to_the_run_dir(tmp_path, capsys, section, key, bad):
+    cfg_path, cfg_dict = mini_config(tmp_path)
+    good = cfg_dict.setdefault(section, {}).get(key)
+    cfg_dict[section][key] = str(tmp_path / bad)
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # Once the path is fixed, the same run dir takes a fresh run.
+    if good is None:
+        del cfg_dict[section][key]
+    else:
+        cfg_dict[section][key] = good
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+
+
+def test_duplicate_source_names_fail_before_the_run_dir(tmp_path, capsys):
+    cfg_path, cfg_dict = mini_config(tmp_path)
+    cfg_dict["sources"].append(dict(cfg_dict["sources"][0]))
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "duplicate source names" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_rate_config_gives_a_limiter_that_takes_one_token_per_attempt(tmp_path):
+    _, cfg_dict = mini_config(tmp_path)
+    cfg_dict["gateway"].update(rate_capacity=3, rate_refill_per_s=0.5)
+    gw = build_gateway(config_from_dict(cfg_dict).gateway)
+    assert (gw._rate.capacity, gw._rate.refill_per_s) == (3, 0.5)
+    assert build_gateway(config_from_dict({}).gateway)._rate is None
+
+    clock = FakeClock()
+    gw._rate = TokenBucket(gw._rate.capacity, gw._rate.refill_per_s, clock=clock, sleep=clock.sleep)
+    gw.provider, gw._sleep = FlakyProvider(failures=2), lambda _s: None
+    req = ChatRequest(model="m", system="s", user="u", stage_tag=StageTag.FILTER)
+    gw.complete(req)  # three attempts take the three tokens of the burst
+    assert (gw.provider.calls, clock.t) == (3, 0.0)
+    gw.complete(req)  # the fourth attempt waits for one refill: 1 / 0.5 s
+    assert (gw.provider.calls, clock.t) == (4, pytest.approx(2.0))
 
 
 def test_empty_config_is_all_defaults():
@@ -903,6 +967,82 @@ def test_cli_reward_judge_with_mock(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert (summary["judge_calls"], summary["judge_failures"]) == (1, 0)
     assert [(r["reward"], r["method"]) for r in read_jsonl(out)] == [(1, "judge")]
+
+
+def reward_batch(tmp_path, capsys, gold_lines: bytes, rollout_lines: bytes):
+    """Run qaforge reward in batch mode on raw file bytes: (exit code, summary, result lines)."""
+    (tmp_path / "gold.jsonl").write_bytes(gold_lines)
+    (tmp_path / "rollouts.jsonl").write_bytes(rollout_lines)
+    out = tmp_path / "scored.jsonl"
+    code = cli.main(["reward", "--dataset", str(tmp_path / "gold.jsonl"),
+                     "--rollouts", str(tmp_path / "rollouts.jsonl"), "--out", str(out)])
+    summary = json.loads(capsys.readouterr().out) if code == 0 else None
+    return code, summary, out.read_bytes().splitlines() if out.exists() else []
+
+
+GOLD_R1 = b'{"record_id": "r1", "question": "Q1", "answer": "7"}\n'
+
+
+@pytest.mark.parametrize("bad_gold", [
+    b"{not json\n",
+    b'{"question": "Q2", "answer": "8"}\n',
+    b'{"record_id": 5, "question": "Q2", "answer": "8"}\n',
+    b'["r2", "Q2", "8"]\n',
+], ids=["not-json", "no-record-id", "int-record-id", "array"])
+def test_reward_batch_skips_a_bad_gold_line(tmp_path, capsys, bad_gold):
+    rollouts = b'{"record_id": "r1", "rollout": "Answer: 7"}\n{"record_id": "r2", "rollout": "8"}\n'
+    code, summary, lines = reward_batch(tmp_path, capsys, bad_gold + GOLD_R1, rollouts)
+    assert code == 0
+    assert (summary["scored"], summary["unmatched"], summary["malformed"]) == (1, 1, 0)
+    assert [json.loads(line)["reward"] for line in lines] == [1]
+
+
+def test_reward_batch_scores_a_rollout_with_a_lone_surrogate(tmp_path, capsys):
+    rollouts = b'{"record_id": "r1", "rollout": "Answer: \\ud800"}\n'
+    code, summary, lines = reward_batch(tmp_path, capsys, GOLD_R1, rollouts)
+    assert code == 0 and summary["scored"] == 1
+    assert lines == [b'{"record_id": "r1", "reward": 0, "method": "exact", '
+                     b'"extracted_answer": "\\ud800"}']
+
+
+def test_reward_batch_counts_a_rollout_that_is_not_utf8_as_malformed(tmp_path, capsys):
+    rollouts = b'{"record_id": "r1", "rollout": "Answer: \xff"}\n'
+    rollouts += b'{"record_id": "r1", "rollout": "Answer: 7"}\n'
+    code, summary, lines = reward_batch(tmp_path, capsys, GOLD_R1, rollouts)
+    assert code == 0
+    assert (summary["scored"], summary["malformed"]) == (1, 1)
+
+
+@pytest.mark.parametrize("bad_line", [
+    b"[1,2]\n",
+    b'{"record_id": "r9", "question": 5, "answer": "x"}\n',
+    b'{"record_id": "r9", "question": "Q \xff", "answer": "x"}\n',
+], ids=["array", "int-question", "not-utf8"])
+def test_cli_decontaminate_counts_a_bad_line_as_malformed(tmp_path, capsys, bad_line):
+    dataset = tmp_path / "data.jsonl"
+    good = b'{"record_id": "r1", "question": "Which gas do plants absorb?", "answer": "CO2"}\n'
+    dataset.write_bytes(bad_line + good)
+    eval_dir = tmp_path / "evals"
+    eval_dir.mkdir()
+    write_jsonl(eval_dir / "bench.jsonl", [{"text": "An unrelated benchmark question."}])
+    assert cli.main(["decontaminate", "--dataset", str(dataset), "--eval-dir", str(eval_dir)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["checked"], summary["malformed"], summary["written"]) == (1, 1, 1)
+    assert (tmp_path / "data.jsonl.clean.jsonl").read_bytes() == good
+
+
+@pytest.mark.parametrize("bad_line", [b"[1,2]\n", b'"text"\n', b'{"domain": "math"}\n', b"\xff\n"],
+                         ids=["array", "string", "missing-fields", "not-utf8"])
+def test_stats_skip_a_line_that_is_not_a_record(tmp_path, capsys, bad_line):
+    path = tmp_path / "data.jsonl"
+    good = b'{"record_id": "r1", "domain": "math", "source": "a", "answer": "42"}\n'
+    path.write_bytes(good + bad_line + good)
+    stats = dataset_stats(str(path))
+    assert (stats["records"], stats["malformed"]) == (2, 1)
+    assert stats["domains"] == {"math": 2}
+    assert cli.main(["stats", "--dataset", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "records: 2" in out and "malformed lines skipped: 1" in out
 
 
 def test_console_script_installed(tmp_path):
