@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from typing import Optional
 
 from .config import PipelineConfig, load_config
 from .decontam import build_index_from_dir, is_contaminated
-from .errors import ConfigDriftError, QAForgeError
+from .errors import ConfigDriftError, ConfigError, QAForgeError
 from .pipeline import build_gateway, dataset_stats, resume_run, run_pipeline
 from .reward import RewardVerifier, score_rollout_files, serve_stdin
 from .types import BAD_LINE, line_fields
@@ -70,10 +71,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_decontaminate(args: argparse.Namespace) -> int:
+    if args.ngram < 1:
+        raise ConfigError(f"--ngram must be >= 1, got {args.ngram}")
     index = build_index_from_dir(args.eval_dir, args.ngram)
     out_path = args.out or (args.dataset + ".clean.jsonl")
     checked = contaminated = written = malformed = 0
-    with open(args.dataset, "rb") as src, open(out_path, "wb") as dst:
+    # Moved over out_path only at the end, so --out may name the dataset itself.
+    tmp = out_path + ".tmp"
+    with open(args.dataset, "rb") as src, open(tmp, "wb") as dst:
         for raw in src:
             if not raw.strip():
                 continue
@@ -88,6 +93,7 @@ def _cmd_decontaminate(args: argparse.Namespace) -> int:
                 continue
             dst.write(raw if raw.endswith(b"\n") else raw + b"\n")
             written += 1
+    os.replace(tmp, out_path)
     print(json.dumps({
         "checked": checked,
         "contaminated": contaminated,

@@ -42,6 +42,11 @@ class RewardCounters:
     judge_failures: int = 0
 
 
+_BRACE_RE = re.compile(r"[{}]")
+# Size of the first tail slice that extract_final_answer splits; later ones double.
+_TAIL_CHARS = 512
+
+
 def _find_boxed(text: str) -> Optional[tuple[int, str]]:
     """Last \\boxed{...} span with balanced braces; returns (position, content)."""
     marker = r"\boxed{"
@@ -50,14 +55,12 @@ def _find_boxed(text: str) -> Optional[tuple[int, str]]:
         return None
     depth = 1
     i = start + len(marker)
-    while i < len(text) and depth:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    if depth:
-        return start, text[start + len(marker) :].strip()
+    while depth:
+        brace = _BRACE_RE.search(text, i)
+        if brace is None:
+            return start, text[start + len(marker) :].strip()
+        depth += 1 if brace.group() == "{" else -1
+        i = brace.end()
     return start, text[start + len(marker) : i - 1].strip()
 
 
@@ -68,30 +71,46 @@ def extract_final_answer(rollout: str, cfg: Optional[RewardConfig] = None) -> st
     an answer prefix. When several markers appear, the one latest in the text
     wins, since rollouts state their final answer last. With no marker at all,
     the last non-empty line is taken.
+
+    Lines are walked from the end, in slices that double in size and start
+    right after a "\\n", so the cost follows the answer's distance from the end.
     """
     cfg = cfg or RewardConfig()
-    candidates: list[tuple[int, str]] = []
-    if cfg.use_boxed:
-        boxed = _find_boxed(rollout)
-        if boxed:
-            candidates.append(boxed)
-    pos = 0
-    for line in rollout.splitlines(keepends=True):
-        stripped = line.strip().lower()
-        for prefix in cfg.marker_prefixes:
-            if stripped.startswith(prefix):
-                value = line.strip()[len(prefix) :].strip()
-                if value:
-                    candidates.append((pos, value))
-                break
-        pos += len(line)
-    if candidates:
-        return max(candidates, key=lambda c: c[0])[1]
-    lines = [ln.strip() for ln in rollout.splitlines() if ln.strip()]
-    return lines[-1] if lines else ""
+    boxed = _find_boxed(rollout) if cfg.use_boxed else None
+    floor = boxed[0] if boxed else -1  # a line starting here or before loses to boxed
+    prefixes = cfg.marker_prefixes
+    last = ""  # last non-empty line
+    end, size = len(rollout), _TAIL_CHARS
+    while end:
+        start = rollout.rfind("\n", 0, max(end - size, 0)) + 1
+        pos = end
+        for line in reversed(rollout[start:end].splitlines(keepends=True)):
+            pos -= len(line)
+            if pos <= floor:
+                return boxed[1]
+            stripped = line.strip()
+            last = last or stripped
+            lowered = stripped.lower()
+            for prefix in prefixes:
+                if lowered.startswith(prefix):
+                    value = stripped[len(prefix) :].strip()
+                    if value:
+                        return value
+                    break
+        if end == len(rollout):
+            # The tail decided nothing. A matching line's lowered text is part
+            # of rollout.lower(), so a prefix found nowhere there matches no line.
+            whole = rollout.lower()
+            if not any(prefix in whole for prefix in prefixes):
+                prefixes = ()
+        if not prefixes and (boxed or last):
+            return boxed[1] if boxed else last
+        end, size = start, size * 2
+    return last
 
 
 _PLAIN_NUMBER_RE = re.compile(r"^-?\d{1,3}(?:,\d{3})+(?:\.\d+)?$|^-?\d+(?:\.\d+)?$")
+_SPACE_RE = re.compile(r"\s+")
 
 
 def _canon_number(token: str) -> str:
@@ -111,7 +130,7 @@ def normalize_answer(text: str) -> str:
     than lower so case variants like the micro sign match under round-trips.
     """
     out = text.strip().casefold()
-    out = re.sub(r"\s+", " ", out)
+    out = _SPACE_RE.sub(" ", out)
     out = out.rstrip(".,;:!? ")
     return " ".join(_canon_number(tok) for tok in out.split(" ") if tok)
 

@@ -930,6 +930,43 @@ def test_cli_decontaminate(tmp_path, capsys):
     assert [r["record_id"] for r in kept] == ["r2"]
 
 
+def test_cli_decontaminate_out_may_be_the_dataset(tmp_path, capsys):
+    dataset = tmp_path / "data.jsonl"
+    kept = {"record_id": "r2", "question": "Which gas do plants absorb from the air?",
+            "answer": "Carbon dioxide"}
+    write_jsonl(dataset, [
+        {"record_id": "r1", "question": "What is the tallest mountain on Earth above sea level?",
+         "answer": "Mount Everest"},
+        kept,
+    ])
+    eval_dir = tmp_path / "evals"
+    eval_dir.mkdir()
+    write_jsonl(eval_dir / "bench.jsonl",
+                [{"text": "What is the tallest mountain on Earth above sea level?"}])
+    code = cli.main(["decontaminate", "--dataset", str(dataset), "--eval-dir", str(eval_dir),
+                     "--ngram", "5", "--out", str(dataset)])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["checked"], summary["contaminated"], summary["written"]) == (2, 1, 1)
+    assert read_jsonl(dataset) == [kept]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "evals"]
+
+
+@pytest.mark.parametrize("ngram", ["0", "-3"])
+def test_cli_decontaminate_rejects_an_ngram_below_one(tmp_path, capsys, ngram):
+    dataset = tmp_path / "data.jsonl"
+    write_jsonl(dataset, [{"record_id": "r1", "question": "Q", "answer": "A"}])
+    eval_dir = tmp_path / "evals"
+    eval_dir.mkdir()
+    write_jsonl(eval_dir / "bench.jsonl", [{"text": "An unrelated benchmark question."}])
+    code = cli.main(["decontaminate", "--dataset", str(dataset), "--eval-dir", str(eval_dir),
+                     "--ngram", ngram])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--ngram" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "evals"]
+
+
 def test_cli_reward_batch(tmp_path, capsys):
     dataset = tmp_path / "data.jsonl"
     write_jsonl(dataset, [

@@ -2,6 +2,7 @@
 
 import io
 import json
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,10 @@ from qaforge.config import RewardConfig
 from qaforge.errors import TransientProviderError
 from qaforge.gateway import MockScript, StageTag
 from qaforge.reward import (
+    _TAIL_CHARS,
     RewardRequest,
     RewardVerifier,
+    _find_boxed,
     exact_reward,
     extract_final_answer,
     judge_reward,
@@ -20,6 +23,8 @@ from qaforge.reward import (
     score_rollout_files,
     serve_stdin,
 )
+
+from conftest import tricky_text
 
 # (gold, rollout, expected reward) across markers, case, punctuation, numerals.
 SCORE_TABLE = [
@@ -102,6 +107,115 @@ def test_marker_list_is_configuration():
     assert extract_final_answer("Result: 9\nAnswer: 8", cfg) == "9\nAnswer: 8".splitlines()[0]
     # boxed disabled: falls back to the last non-empty line
     assert extract_final_answer("\\boxed{3}", cfg) == "\\boxed{3}"
+
+
+# The forward scan that extract_final_answer replaced, kept as the reference
+# its backward walk must match on every input and config.
+def reference_find_boxed(text: str) -> Optional[tuple[int, str]]:
+    marker = r"\boxed{"
+    start = text.rfind(marker)
+    if start < 0:
+        return None
+    depth = 1
+    i = start + len(marker)
+    while i < len(text) and depth:
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+        i += 1
+    if depth:
+        return start, text[start + len(marker) :].strip()
+    return start, text[start + len(marker) : i - 1].strip()
+
+
+def reference_extract(rollout: str, cfg: Optional[RewardConfig] = None) -> str:
+    cfg = cfg or RewardConfig()
+    candidates: list[tuple[int, str]] = []
+    if cfg.use_boxed:
+        boxed = reference_find_boxed(rollout)
+        if boxed:
+            candidates.append(boxed)
+    pos = 0
+    for line in rollout.splitlines(keepends=True):
+        stripped = line.strip().lower()
+        for prefix in cfg.marker_prefixes:
+            if stripped.startswith(prefix):
+                value = line.strip()[len(prefix) :].strip()
+                if value:
+                    candidates.append((pos, value))
+                break
+        pos += len(line)
+    if candidates:
+        return max(candidates, key=lambda c: c[0])[1]
+    lines = [ln.strip() for ln in rollout.splitlines() if ln.strip()]
+    return lines[-1] if lines else ""
+
+
+# Line separators of str.splitlines, characters whose lower() changes length
+# or depends on context, markers in several cases, and braces.
+_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", " ", "\t", "\u0130", "\u03a3",
+           "\u03c2", "A\u03a3", "answer:", "Answer: 1", "ANSWER:  ", "Final Answer: 2",
+           "final answer:", "Result: 3", "\\boxed{", "\\boxed{4}", "\\boxed{}", "{", "}", "x"]
+# Long lines push the markers across the first and later slice cuts.
+_piece = st.one_of(st.sampled_from(_PIECES), tricky_text,
+                   st.integers(1, 3 * _TAIL_CHARS).map(lambda n: "y" * n))
+_rollouts = st.one_of(tricky_text, st.lists(_piece, max_size=40).map("".join))
+_prefix = st.one_of(st.sampled_from(["answer:", "final answer:", "Answer:", "", "result:",
+                                     "\u03c3", "\u03c2", "i\u0307", "answer", "answer: 1"]), tricky_text)
+_configs = st.builds(RewardConfig, marker_prefixes=st.lists(_prefix, max_size=3),
+                     use_boxed=st.booleans())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_rollouts, _configs)
+@example("Answer: early\n" + "y" * _TAIL_CHARS + "\nbare", RewardConfig())
+@example("\\boxed{7}\n" + "y" * 2 * _TAIL_CHARS + "\nAnswer:\ntail", RewardConfig())
+@example("A\u03a3\nx", RewardConfig(marker_prefixes=["\u03c2"]))
+@example("\u0130answer: 5", RewardConfig(marker_prefixes=["i\u0307answer:"]))
+@example("\u03c2 7", RewardConfig(marker_prefixes=["\u03c3"]))  # lower(), not casefold()
+@example("Answer:\nplain", RewardConfig(marker_prefixes=["answer:", "answer"]))
+def test_extract_matches_the_forward_scan(rollout, cfg):
+    assert extract_final_answer(rollout, cfg) == reference_extract(rollout, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["{", "}", "\\boxed{", "x", " ", "\n"]) | tricky_text).map("".join))
+def test_find_boxed_matches_the_char_loop(text):
+    assert _find_boxed(text) == reference_find_boxed(text)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x85"])
+@pytest.mark.parametrize("head,tail", [
+    ("Answer: early", "bare last line"),      # marker before the cut, none after
+    ("Answer: early", "Answer: late"),        # markers on both sides of the cut
+    ("\\boxed{early}", "plain"),             # boxed answer before the cut
+    ("\\boxed{early}", "Answer: late"),
+    ("Answer: early", "answer:"),             # empty value after the cut
+    ("", "\n\n"),
+])
+def test_extract_at_a_slice_cut(sep, head, tail):
+    """A separator (\\r\\n included) lands on each side of the first slice's cut."""
+    for shift in range(-3, 4):
+        filler = "y" * (_TAIL_CHARS + shift - len(tail) - len(sep))
+        for rollout in (head + sep + filler + sep + tail,
+                        head + sep + filler + sep + filler + sep + filler + sep + tail):
+            for cfg in (RewardConfig(), RewardConfig(use_boxed=False)):
+                assert extract_final_answer(rollout, cfg) == reference_extract(rollout, cfg)
+
+
+_LINE = "Some long reasoning about the problem, one step at a time.\n"
+_MB = _LINE * (1_000_000 // len(_LINE))
+
+
+@pytest.mark.parametrize("rollout,extracted,reward", [
+    (_MB + _MB + "7", "7", 1),
+    (_MB + _MB + "Answer: 7", "7", 1),
+    (_MB + "\\boxed{" + _MB, _MB.strip(), 0),
+], ids=["bare", "marker-last", "unclosed-boxed"])
+def test_two_megabyte_rollouts_score(rollout, extracted, reward):
+    result = exact_reward(RewardRequest(question="q", gold_answer="7", rollout=rollout))
+    assert (result.extracted_answer, result.reward) == (extracted, reward)
 
 
 @pytest.mark.parametrize(
