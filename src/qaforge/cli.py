@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: run, resume, stats, decontaminate, reward. Exit codes: 0 on
-success, 1 on fatal config or IO errors, 2 when resume refuses to continue
-under a drifted config.
+success, 1 on fatal config or IO errors and on a run dir that another process
+holds, 2 when resume refuses to continue under a drifted config.
 """
 
 from __future__ import annotations

@@ -145,17 +145,27 @@ def is_contaminated(question: str, answer: str, index: NGramIndex) -> Contaminat
     )
 
 
-def load_eval_dir(eval_dir: str) -> Iterator[str]:
-    """Yield eval texts from every .jsonl file under eval_dir (line format: {"text": ...})."""
+def eval_paths(eval_dir: str) -> list[str]:
+    """Every .jsonl file under eval_dir, sorted; IngestError if the dir is missing."""
     if not os.path.isdir(eval_dir):
         raise IngestError(f"eval dir not found: {eval_dir}")
-    paths = sorted(
+    return sorted(
         os.path.join(root, name)
         for root, _, names in os.walk(eval_dir)
         for name in names
         if name.endswith(".jsonl")
     )
-    for path in paths:
+
+
+def check_eval_dir(eval_dir: str) -> None:
+    """Fail now, as load_eval_dir would later, if eval_dir is missing or a file will not open."""
+    for path in eval_paths(eval_dir):
+        open(path, "rb").close()
+
+
+def load_eval_dir(eval_dir: str) -> Iterator[str]:
+    """Yield eval texts from every .jsonl file under eval_dir (line format: {"text": ...})."""
+    for path in eval_paths(eval_dir):
         # A line that is not UTF-8 is skipped like a line that is not JSON.
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for raw in fh:
@@ -222,15 +232,17 @@ def read_index(path: str, n: int) -> NGramIndex:
 def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramIndex:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    A new run builds it from eval_dir, then creates run_dir and writes the
-    file, so a bad eval_dir leaves nothing behind. A resume loads the
-    file, so it screens against the same grams even if eval_dir has changed
-    since; a run dir from before pinning has no file, and gets one now.
+    A new run builds it from eval_dir and writes the file with os.replace.
+    run_pipeline calls this once its first documents are in flight, and checks
+    eval_dir with check_eval_dir before it creates the run dir, so a bad
+    eval_dir leaves nothing behind. A resume loads the file before any
+    provider call, so it screens against the same grams even if eval_dir has
+    changed since; a run dir without the file (from before pinning, or from a
+    run that stopped before its index was built) gets one now.
     """
     path = os.path.join(run_dir, INDEX_FILE)
     if resume and os.path.exists(path):
         return read_index(path, n)
     index = build_index_from_dir(eval_dir, n) if eval_dir else NGramIndex(n=n)
-    os.makedirs(run_dir, exist_ok=True)
     write_index(index, path)
     return index

@@ -17,6 +17,10 @@ class ConfigDriftError(QAForgeError):
     """Resume was asked to continue a run under a different config."""
 
 
+class RunDirLockedError(QAForgeError):
+    """Another process is running or resuming the same run dir."""
+
+
 class GatewayError(QAForgeError):
     pass
 

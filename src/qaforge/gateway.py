@@ -113,10 +113,6 @@ class CostLedger:
             cell.failures += 1
             cell.retries += retries
 
-    def stage_requests(self, stage: StageTag) -> int:
-        with self._lock:
-            return sum(c.requests for (m, s), c in self._cells.items() if s == stage.value)
-
     def total(self, fieldname: str) -> int:
         with self._lock:
             return sum(getattr(c, fieldname) for c in self._cells.values())

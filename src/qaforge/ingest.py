@@ -40,15 +40,6 @@ class IngestStats:
             "dropped_over_quota": self.dropped_over_quota,
         }
 
-    def conserved(self) -> bool:
-        return self.lines == (
-            self.kept
-            + self.dropped_parse
-            + self.dropped_empty
-            + self.dropped_dup
-            + self.dropped_over_quota
-        )
-
 
 def _source_files(spec: SourceSpec) -> list[str]:
     paths = sorted(glob.glob(spec.path)) if any(c in spec.path for c in "*?[") else [spec.path]

@@ -9,6 +9,16 @@ resumes to completion with zero gateway calls.
 Only documents that need the model cross to the thread pool: the heuristic
 filter runs on the ingest thread, where its rejects are logged and skipped.
 
+A run starts in a fixed order. Every config and path check, including that
+the eval dir exists and each of its files opens, runs before the run directory
+is written. Then the run takes an exclusive flock on <run_dir>/run.lock, so one
+process at a time drives a run dir; a second run or resume fails at once. A
+fresh run then writes config.json and starts the pool. Its eval index is built
+on the ingest thread when the window of documents in flight is full or the
+sources are exhausted, so the first provider calls do not wait for the build;
+workers wait for the pinned index before they screen. A resume loads the
+pinned index before any provider call.
+
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
 file is byte-identical across runs and across concurrency settings; only
@@ -17,6 +27,7 @@ created_at timestamps differ between runs.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import math
@@ -25,9 +36,10 @@ import statistics
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .classify import NoPersonasError, classify_and_assign
 from .config import (
@@ -38,8 +50,14 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .decontam import NGramIndex, is_contaminated, pinned_index
-from .errors import ConfigDriftError, ConfigError, RequestRejectedError, StructuredParseError
+from .decontam import NGramIndex, check_eval_dir, is_contaminated, pinned_index
+from .errors import (
+    ConfigDriftError,
+    ConfigError,
+    RequestRejectedError,
+    RunDirLockedError,
+    StructuredParseError,
+)
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
 from .gateway import Gateway, HTTPProvider, MockProvider, MockScript, TokenBucket
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
@@ -165,7 +183,7 @@ class _RunContext:
     gateway: Gateway
     ledger: RunLedger
     demos: DemoLibrary
-    eval_index: NGramIndex
+    eval_index: Future[NGramIndex]  # set once the index is pinned; cancelled on abort
     hook: Optional[StageHook] = None
 
     def log(self, stage: str, item_id: str, outcome: str, reason: str = "",
@@ -244,7 +262,7 @@ def _verify(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
 
 
 def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
-    report = is_contaminated(qa.question, qa.answer, ctx.eval_index)
+    report = is_contaminated(qa.question, qa.answer, ctx.eval_index.result())
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
@@ -436,6 +454,35 @@ class RunReport:
         return lines
 
 
+LOCK_FILE = "run.lock"
+
+
+@contextmanager
+def _run_dir_lock(run_dir: str) -> Iterator[None]:
+    """Hold an exclusive flock on <run_dir>/run.lock, with this process's pid in it.
+
+    RunDirLockedError, naming the holder's pid, if another process holds it.
+    The kernel drops the lock when its holder dies, so a crash never leaves
+    a stale lock.
+    """
+    fd = os.open(os.path.join(run_dir, LOCK_FILE), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            pid = os.pread(fd, 32, 0).decode("ascii", "replace").strip()
+            holder = f"pid {pid}" if pid else "another process"
+            raise RunDirLockedError(f"run dir {run_dir} is in use by {holder}") from None
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+        try:
+            yield
+        finally:
+            os.ftruncate(fd, 0)
+    finally:
+        os.close(fd)
+
+
 def run_pipeline(
     cfg: PipelineConfig,
     *,
@@ -443,34 +490,51 @@ def run_pipeline(
     gateway: Optional[Gateway] = None,
     on_stage_logged: Optional[StageHook] = None,
 ) -> RunReport:
-    """Execute (or continue) a full run described by cfg."""
+    """Execute (or continue) a full run described by cfg, in the start order above.
+
+    The run dir's lock is held until the report is written.
+    """
     start = time.monotonic()
     run_dir = cfg.run.run_dir
     snapshot_path = os.path.join(run_dir, "config.json")
     if resume and not os.path.exists(snapshot_path):
         raise ConfigError(f"cannot resume: no config snapshot in {run_dir}")
-    if not resume and os.path.exists(snapshot_path):
-        raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
 
-    # Whatever a config or path mistake can fail runs before the run dir is
-    # written: pinned_index writes its file only once the index is built.
     gw = gateway if gateway is not None else build_gateway(cfg.gateway)
     demos = DemoLibrary.load(cfg.generate.demo_path)
-    eval_index = pinned_index(run_dir, cfg.decontaminate.eval_dir, cfg.decontaminate.ngram,
-                              resume=resume)
-    if not resume:
-        with open(snapshot_path, "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    dcfg = cfg.decontaminate
+    if dcfg.eval_dir and not resume:
+        check_eval_dir(dcfg.eval_dir)
+    os.makedirs(run_dir, exist_ok=True)
+    with _run_dir_lock(run_dir):
+        if not resume and os.path.exists(snapshot_path):
+            raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
+        eval_index: Future[NGramIndex] = Future()
+        if resume:
+            eval_index.set_result(pinned_index(run_dir, dcfg.eval_dir, dcfg.ngram, resume=True))
+        else:
+            with open(snapshot_path, "w", encoding="utf-8") as fh:
+                json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        ctx = _RunContext(cfg=cfg, gateway=gw, ledger=RunLedger(run_dir), demos=demos,
+                          eval_index=eval_index, hook=on_stage_logged)
+        return _drive(ctx, resume, start)
 
-    ledger = RunLedger(run_dir)
+
+def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
+    """Run every document through the stages, then write the report."""
+    cfg, gw, ledger, eval_index = ctx.cfg, ctx.gateway, ctx.ledger, ctx.eval_index
+    run_dir = cfg.run.run_dir
     writer = _DatasetWriter(cfg.run.out, resume=resume)
-    ctx = _RunContext(cfg=cfg, gateway=gw, ledger=ledger, demos=demos,
-                      eval_index=eval_index, hook=on_stage_logged)
     ingest_stats: dict[str, IngestStats] = {}
 
     def ingest_drop(source: str, key: str, reason: str) -> None:
         ctx.log("ingest", key, "drop", reason=reason)
+
+    def pin_index() -> None:
+        if not eval_index.done():
+            eval_index.set_result(pinned_index(run_dir, cfg.decontaminate.eval_dir,
+                                               cfg.decontaminate.ngram, resume=False))
 
     try:
         docs = dedup(
@@ -483,6 +547,8 @@ def run_pipeline(
         # 4x concurrency are pending, so memory does not grow with the corpus;
         # a 2x window lets one slow head document stall the other threads.
         # Heuristic rejects yield no records, so skipping them keeps the order.
+        # The index is built when ingest would first wait, or after the last
+        # document: until then the first documents are with the provider.
         window = 4 * gw.concurrency
         pending: deque[Future] = deque()
         with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
@@ -493,11 +559,16 @@ def run_pipeline(
                         continue
                     pending.append(pool.submit(_process_document, ctx, doc))
                     if len(pending) > window:
+                        pin_index()
                         writer.append(pending.popleft().result())
+                pin_index()
                 while pending:
                     writer.append(pending.popleft().result())
                 writer.finish()
             except BaseException:
+                # Workers waiting to screen would otherwise never return, and
+                # the shutdown below would wait for them forever.
+                eval_index.cancel()
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
     finally:

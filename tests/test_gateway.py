@@ -35,7 +35,7 @@ def make_req(user="hello", system="sys", model="m1", stage=StageTag.FILTER, temp
     return ChatRequest(model=model, system=system, user=user, stage_tag=stage, temperature=temperature)
 
 
-from conftest import SequenceProvider
+from conftest import SequenceProvider, stage_requests
 
 
 class FlakyProvider:
@@ -140,7 +140,7 @@ def test_mock_is_deterministic_under_threads(gw_factory):
         texts = list(pool.map(lambda _: gw.complete(req).text, range(24)))
     assert set(texts) == {"DOMAIN: science\nPERSONAS: chemist"}
     assert provider.total_calls == 24
-    assert gw.ledger.stage_requests(StageTag.CLASSIFY) == 24
+    assert stage_requests(gw, StageTag.CLASSIFY) == 24
 
 
 # ---------------------------------------------------------------- retry logic

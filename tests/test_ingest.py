@@ -10,7 +10,7 @@ from qaforge.errors import ConfigError, IngestError
 from qaforge.ingest import IngestStats, dedup, read_documents, sample_mixture
 from qaforge.types import SourceSpec, content_hash, make_doc_id
 
-from conftest import write_jsonl
+from conftest import conserved, write_jsonl
 
 
 def test_three_valid_lines(tmp_path):
@@ -129,7 +129,7 @@ def test_over_quota_drops_are_counted(tmp_path):
     st_a = stats["a"]
     assert len(docs) == 7
     assert st_a.dropped_over_quota == 13
-    assert st_a.conserved()
+    assert conserved(st_a)
 
 
 def test_round_robin_interleave(tmp_path):
@@ -189,5 +189,5 @@ def test_conservation_property(tmp_path_factory, texts, quota):
     if quota == 0:
         assert "s" not in stats or stats["s"].lines == 0
     else:
-        assert stats["s"].conserved()
+        assert conserved(stats["s"])
         assert stats["s"].lines == len(texts)

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from fixture_builder import build_fixture
 
-from conftest import read_jsonl
-from qaforge import cli
+from conftest import read_jsonl, write_jsonl
+from qaforge import cli, decontam
 from qaforge.decontam import INDEX_FILE, build_index, build_index_from_dir, is_contaminated, read_index
 from qaforge.errors import ConfigDriftError
 from qaforge.gateway import Gateway, MockProvider, MockScript
 from qaforge.pipeline import resume_run, run_pipeline
+from qaforge.types import SourceSpec
 
 
 class Interrupt(BaseException):
@@ -148,3 +150,96 @@ def test_run_without_eval_dir_pins_an_empty_index(tmp_path):
     cfg.run.run_dir = str(tmp_path)
     run_pipeline(cfg, gateway=counted_gateway(bundle)[1])
     assert read_index(str(path), 13) == build_index([], 13)
+
+
+# The index is built on the ingest thread once the first documents are in flight.
+
+
+def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, reference):
+    bundle = build_fixture(tmp_path)
+    provider, gw = counted_gateway(bundle)
+    path = bundle.root / "run" / INDEX_FILE
+    events, sent = [], threading.Event()
+    send = provider.send
+
+    def recording_send(req):
+        events.append("send")
+        sent.set()
+        return send(req)
+
+    real_build = decontam.build_index_from_dir
+
+    def recording_build(eval_dir, n=13):
+        # Were the build to run before the pool started, no send could come.
+        events.append(("build", sent.wait(timeout=10)))
+        return real_build(eval_dir, n)
+
+    pinned_at_first_screen = []
+
+    def hook(stage, item_id, outcome):
+        if stage == "decontaminate" and not pinned_at_first_screen:
+            pinned_at_first_screen.append(path.exists())
+
+    provider.send = recording_send
+    monkeypatch.setattr(decontam, "build_index_from_dir", recording_build)
+    report = run_pipeline(bundle.config(), gateway=gw, on_stage_logged=hook)
+
+    assert events[0] == "send"
+    assert [e for e in events if e != "send"] == [("build", True)]
+    assert pinned_at_first_screen == [True]
+    assert report.funnel_consistent, report.funnel_problems
+    assert read_index(str(path), 13) == real_build(str(bundle.eval_dir), 13)
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+
+
+def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
+    bundle = build_fixture(tmp_path)
+    run_dir = bundle.root / "run"
+    screening = threading.Event()
+    ingest_thread = []
+
+    def hook(stage, item_id, outcome):
+        if threading.get_ident() != ingest_thread[0]:
+            if stage == "verify" and outcome == "pass":
+                screening.set()  # this worker waits on the index next
+        elif stage == "ingest" and screening.wait(timeout=0.5):
+            raise Interrupt()
+
+    result = {}
+
+    def run():
+        ingest_thread.append(threading.get_ident())
+        try:
+            run_pipeline(bundle.config(), gateway=counted_gateway(bundle)[1], on_stage_logged=hook)
+        except BaseException as exc:
+            result["exc"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "run_pipeline hung after the ingest thread raised"
+    assert isinstance(result.get("exc"), Interrupt)
+    assert screening.is_set()
+    # No candidate was screened, and no index was pinned.
+    screened = run_dir / "ledgers" / "decontaminate.jsonl"
+    assert not screened.exists() or screened.read_bytes() == b""
+    assert not (run_dir / INDEX_FILE).exists()
+
+    report = resume_run(str(run_dir), gateway=counted_gateway(bundle)[1])
+    assert report.funnel_consistent, report.funnel_problems
+    assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+    assert read_index(str(run_dir / INDEX_FILE), 13) == build_index_from_dir(str(bundle.eval_dir))
+
+
+def test_all_reject_corpus_pins_the_index(tmp_path):
+    bundle = build_fixture(tmp_path / "fixture")
+    write_jsonl(tmp_path / "junk.jsonl", [{"text": f"Too short {i}."} for i in range(5)])
+    cfg = bundle.config()
+    cfg.sources = [SourceSpec("junk", str(tmp_path / "junk.jsonl"))]
+    provider, gw = counted_gateway(bundle)
+    report = run_pipeline(cfg, gateway=gw)
+    assert provider.total_calls == 0
+    assert report.funnel["filter"] == {"in": 5, "pass": 0, "reject": 5, "drop": 0}
+    pinned = read_index(str(bundle.root / "run" / INDEX_FILE), 13)
+    assert pinned == build_index_from_dir(str(bundle.eval_dir), 13)

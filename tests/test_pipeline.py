@@ -1,6 +1,9 @@
 """Config handling, run ledgers, orchestration, resume, and the CLI."""
 
+import fcntl
 import json
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -9,6 +12,7 @@ import time
 import pytest
 import yaml
 
+import qaforge
 from qaforge import cli
 from qaforge.config import (
     canonical_json,
@@ -21,6 +25,7 @@ from qaforge.errors import (
     ConfigError,
     PermanentProviderError,
     RequestRejectedError,
+    RunDirLockedError,
     TransientProviderError,
     TransportError,
 )
@@ -162,6 +167,21 @@ def test_a_bad_path_writes_nothing_to_the_run_dir(tmp_path, capsys, section, key
     else:
         cfg_dict[section][key] = good
     cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+
+
+def test_a_dangling_eval_file_writes_nothing_to_the_run_dir(tmp_path, capsys):
+    cfg_path, cfg_dict = mini_config(tmp_path)
+    evals = tmp_path / "evals"
+    evals.mkdir()
+    write_jsonl(evals / "bench.jsonl", [{"text": "An unrelated benchmark question."}])
+    (evals / "gone.jsonl").symlink_to(tmp_path / "missing.jsonl")
+    cfg_dict["decontaminate"] = {"eval_dir": str(evals)}
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "gone.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    (evals / "gone.jsonl").unlink()
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
 
 
@@ -727,6 +747,110 @@ def test_crash_after_a_heuristic_reject_resumes_without_repeated_calls(tmp_path)
     ref_cfg = load_config(str(ref_path))
     run_pipeline(ref_cfg, gateway=recording_gateway(ref_cfg))
     assert len(sent) - interrupted_calls == interrupted_calls
+    assert ledger_rows(tmp_path / "run") == ledger_rows(tmp_path / "ref_run")
+    assert dataset_body(tmp_path / "records.jsonl") == dataset_body(tmp_path / "ref.jsonl")
+
+
+# ---------------------------------------------------------------- run dir lock
+
+
+def run_dir_files(tmp_path):
+    """The bytes of the dataset and of every ledger file."""
+    paths = [tmp_path / "records.jsonl", *sorted((tmp_path / "run" / "ledgers").glob("*.jsonl"))]
+    return {p.name: p.read_bytes() for p in paths if p.exists()}
+
+
+def test_a_second_run_on_a_locked_run_dir_fails_at_once(tmp_path, capsys):
+    cfg_path, _ = mini_config(tmp_path, n_docs=1, concurrency=1)
+    mock = MockProvider(default_script())
+    entered, release = threading.Event(), threading.Event()
+
+    class BlockFirstSend:
+        def send(self, req):
+            entered.set()
+            release.wait(timeout=30)
+            return mock.send(req)
+
+    result = {}
+
+    def first():
+        gw = Gateway(BlockFirstSend(), concurrency=1)
+        result["report"] = run_pipeline(load_config(str(cfg_path)), gateway=gw)
+
+    runner = threading.Thread(target=first)
+    runner.start()
+    try:
+        # One document: its ingest row is logged before its first send.
+        assert entered.wait(timeout=10)
+        before = run_dir_files(tmp_path)
+        second = MockProvider(default_script())
+        holder = f"is in use by pid {os.getpid()}"
+        with pytest.raises(RunDirLockedError, match=holder):
+            run_pipeline(load_config(str(cfg_path)), gateway=Gateway(second))
+        with pytest.raises(RunDirLockedError, match=holder):
+            resume_run(str(tmp_path / "run"), gateway=Gateway(second))
+        assert cli.main(["resume", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_FATAL
+        assert f"error: run dir {tmp_path / 'run'} {holder}" in capsys.readouterr().err
+        assert second.total_calls == 0
+        assert run_dir_files(tmp_path) == before
+    finally:
+        release.set()
+        runner.join(timeout=30)
+    assert result["report"].records_written == 1
+    # Released with the report written: a resume now takes the lock.
+    assert resume_run(str(tmp_path / "run"), gateway=Gateway(second)).records_written == 1
+    assert second.total_calls == 0
+
+
+def test_a_lock_held_by_another_process_names_no_stale_pid(tmp_path, capsys):
+    cfg_path, _ = mini_config(tmp_path)
+    run_pipeline(load_config(str(cfg_path)))
+    before = run_dir_files(tmp_path)
+    # A finished run leaves the lock file empty, so a holder that writes no
+    # pid is not mistaken for the last run's process.
+    with open(tmp_path / "run" / "run.lock", "rb") as fh:
+        assert fh.read() == b""
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        assert cli.main(["resume", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_FATAL
+    assert "is in use by another process" in capsys.readouterr().err
+    assert run_dir_files(tmp_path) == before
+
+
+SIGKILL_AT_SECOND_GENERATE = """
+import os, signal, sys
+from qaforge.config import load_config
+from qaforge.pipeline import run_pipeline
+
+generated = []
+
+def hook(stage, item_id, outcome):
+    if stage == "generate":
+        generated.append(item_id)
+        if len(generated) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+run_pipeline(load_config(sys.argv[1]), on_stage_logged=hook)
+"""
+
+
+def test_a_holder_killed_with_sigkill_leaves_a_run_dir_that_resumes(tmp_path):
+    cfg_path, cfg_dict = mini_config(tmp_path, n_docs=4, concurrency=1)
+    src = os.path.dirname(os.path.dirname(qaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", SIGKILL_AT_SECOND_GENERATE, str(cfg_path)],
+                            env=env, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGKILL, err
+    assert (tmp_path / "run" / "run.lock").read_text() == f"{proc.pid}\n"
+
+    report = resume_run(str(tmp_path / "run"))
+    assert report.records_written == 4
+    assert report.funnel_consistent, report.funnel_problems
+    ref_dict = dict(cfg_dict, run=dict(cfg_dict["run"], out=str(tmp_path / "ref.jsonl"),
+                                       run_dir=str(tmp_path / "ref_run")))
+    ref_path = tmp_path / "ref.yaml"
+    ref_path.write_text(yaml.safe_dump(ref_dict))
+    run_pipeline(load_config(str(ref_path)))
     assert ledger_rows(tmp_path / "run") == ledger_rows(tmp_path / "ref_run")
     assert dataset_body(tmp_path / "records.jsonl") == dataset_body(tmp_path / "ref.jsonl")
 

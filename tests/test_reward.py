@@ -24,7 +24,7 @@ from qaforge.reward import (
     serve_stdin,
 )
 
-from conftest import tricky_text
+from conftest import stage_requests, tricky_text
 
 # (gold, rollout, expected reward) across markers, case, punctuation, numerals.
 SCORE_TABLE = [
@@ -277,7 +277,7 @@ def test_exact_hit_skips_judge(gw_factory):
     verifier = RewardVerifier(cfg=RewardConfig(judge=True), gateway=gateway)
     result = verifier.score(RewardRequest(question="q", gold_answer="7", rollout="Answer: 7"))
     assert result.reward == 1 and result.method == "exact"
-    assert gateway.ledger.stage_requests(StageTag.JUDGE) == 0
+    assert stage_requests(gateway, StageTag.JUDGE) == 0
     assert verifier.counters.judge_calls == 0
 
 
@@ -291,7 +291,7 @@ def test_judge_accepts_semantic_match(gw_factory):
     )
     result = verifier.score(req)
     assert result.reward == 1 and result.method == "judge"
-    assert gateway.ledger.stage_requests(StageTag.JUDGE) == 1
+    assert stage_requests(gateway, StageTag.JUDGE) == 1
 
 
 def test_judge_rejects_mismatch(gw_factory):
