@@ -3,21 +3,22 @@
 Subcommands: run, resume, stats, decontaminate, reward. Exit codes: 0 on
 success, 1 on fatal config or IO errors and on a run dir that another process
 holds, 2 when resume refuses to continue under a drifted config.
+
+Each subcommand imports only what it runs: `reward` loads config, errors, types
+and reward (`--judge` adds gateway and prompts), never the pipeline or yaml.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import os
 import sys
 from typing import Optional
 
 from .config import PipelineConfig, load_config
-from .decontam import build_index_from_dir, is_contaminated
 from .errors import ConfigDriftError, ConfigError, QAForgeError
-from .pipeline import build_gateway, dataset_stats, resume_run, run_pipeline
 from .reward import RewardVerifier, score_rollout_files, serve_stdin
 from .types import BAD_LINE, line_fields
 
@@ -27,6 +28,7 @@ EXIT_DRIFT = 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline
     cfg = load_config(args.config)
     if args.mock:
         cfg.gateway.mock_script = args.mock
@@ -41,6 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
+    from .pipeline import resume_run
     report = resume_run(args.run_dir, config_path=args.config)
     for line in report.summary_lines():
         print(line)
@@ -48,6 +51,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .pipeline import dataset_stats
     stats = dataset_stats(args.dataset)
     if stats["malformed"]:
         print(f"malformed lines skipped: {stats['malformed']}")
@@ -71,29 +75,36 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_decontaminate(args: argparse.Namespace) -> int:
+    from . import decontam
     if args.ngram < 1:
         raise ConfigError(f"--ngram must be >= 1, got {args.ngram}")
-    index = build_index_from_dir(args.eval_dir, args.ngram)
+    index = decontam.build_index_from_dir(args.eval_dir, args.ngram)
     out_path = args.out or (args.dataset + ".clean.jsonl")
     checked = contaminated = written = malformed = 0
-    # Moved over out_path only at the end, so --out may name the dataset itself.
+    # Moved over out_path only at the end, so --out may name the dataset itself;
+    # removed if the screen fails, so a failed run leaves no partial file behind.
     tmp = out_path + ".tmp"
-    with open(args.dataset, "rb") as src, open(tmp, "wb") as dst:
-        for raw in src:
-            if not raw.strip():
-                continue
-            try:
-                rec = line_fields(raw, {"question": "", "answer": ""})
-            except BAD_LINE:
-                malformed += 1  # a line that cannot be screened is not copied
-                continue
-            checked += 1
-            if is_contaminated(rec["question"], rec["answer"], index).contaminated:
-                contaminated += 1
-                continue
-            dst.write(raw if raw.endswith(b"\n") else raw + b"\n")
-            written += 1
-    os.replace(tmp, out_path)
+    try:
+        with open(args.dataset, "rb") as src, open(tmp, "wb") as dst:
+            for raw in src:
+                if not raw.strip():
+                    continue
+                try:
+                    rec = line_fields(raw, {"question": "", "answer": ""})
+                except BAD_LINE:
+                    malformed += 1  # a line that cannot be screened is not copied
+                    continue
+                checked += 1
+                if decontam.is_contaminated(rec["question"], rec["answer"], index).contaminated:
+                    contaminated += 1
+                    continue
+                dst.write(raw if raw.endswith(b"\n") else raw + b"\n")
+                written += 1
+        os.replace(tmp, out_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     print(json.dumps({
         "checked": checked,
         "contaminated": contaminated,
@@ -115,7 +126,10 @@ def _cmd_reward(args: argparse.Namespace) -> int:
         reward_cfg.judge = True
     if args.judge_model:
         reward_cfg.judge_model = args.judge_model
-    gateway = build_gateway(cfg.gateway) if reward_cfg.judge else None
+    gateway = None
+    if reward_cfg.judge:
+        from .gateway import build_gateway
+        gateway = build_gateway(cfg.gateway)
     verifier = RewardVerifier(cfg=reward_cfg, gateway=gateway)
     if args.stdin:
         served = serve_stdin(verifier)
@@ -177,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Summaries are printed explicitly; library INFO logs would duplicate them.
-    logging.basicConfig(level=logging.WARNING, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

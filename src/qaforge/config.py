@@ -17,8 +17,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import yaml
-
 from .errors import ConfigError
 from .types import SourceSpec
 
@@ -185,11 +183,18 @@ def canonical_json(cfg: PipelineConfig) -> str:
 
 
 def load_config(path: str) -> PipelineConfig:
+    """Load a JSON or YAML config; yaml is imported only for text that is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except ValueError:
+        import yaml
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict(data or {})

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
+from .config import GatewayConfig
 from .errors import (
     PermanentProviderError,
     RequestRejectedError,
@@ -459,3 +460,22 @@ class Gateway:
         raise StructuredParseError(
             f"unparseable after {self.max_reasks + 1} tries: {last_error}"
         )
+
+
+def build_gateway(gcfg: GatewayConfig) -> Gateway:
+    if gcfg.mock_script:
+        provider = MockProvider(MockScript.load(gcfg.mock_script))
+    else:
+        provider = HTTPProvider(gcfg.base_url, gcfg.api_key_env)
+    rate = None
+    if gcfg.rate_capacity or gcfg.rate_refill_per_s:
+        rate = TokenBucket(gcfg.rate_capacity, gcfg.rate_refill_per_s)
+    return Gateway(
+        provider,
+        concurrency=gcfg.concurrency,
+        rate=rate,
+        max_attempts=gcfg.max_attempts,
+        backoff_base=gcfg.backoff_base,
+        backoff_cap=gcfg.backoff_cap,
+        max_reasks=gcfg.max_reasks,
+    )

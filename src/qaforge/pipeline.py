@@ -43,7 +43,6 @@ from typing import Any, Callable, Iterator, Optional
 
 from .classify import NoPersonasError, classify_and_assign
 from .config import (
-    GatewayConfig,
     PipelineConfig,
     canonical_json,
     config_from_dict,
@@ -59,7 +58,7 @@ from .errors import (
     StructuredParseError,
 )
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
-from .gateway import Gateway, HTTPProvider, MockProvider, MockScript, TokenBucket
+from .gateway import Gateway, build_gateway
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
 from .ingest import IngestStats, dedup, sample_mixture
 from .ledger import RunLedger, make_entry
@@ -80,25 +79,6 @@ log = logging.getLogger("qaforge")
 # Called after every fresh ledger append: (stage, item_id, outcome). Used for
 # progress reporting; tests also use it to inject crashes at stage boundaries.
 StageHook = Callable[[str, str, str], None]
-
-
-def build_gateway(gcfg: GatewayConfig) -> Gateway:
-    if gcfg.mock_script:
-        provider = MockProvider(MockScript.load(gcfg.mock_script))
-    else:
-        provider = HTTPProvider(gcfg.base_url, gcfg.api_key_env)
-    rate = None
-    if gcfg.rate_capacity or gcfg.rate_refill_per_s:
-        rate = TokenBucket(gcfg.rate_capacity, gcfg.rate_refill_per_s)
-    return Gateway(
-        provider,
-        concurrency=gcfg.concurrency,
-        rate=rate,
-        max_attempts=gcfg.max_attempts,
-        backoff_base=gcfg.backoff_base,
-        backoff_cap=gcfg.backoff_cap,
-        max_reasks=gcfg.max_reasks,
-    )
 
 
 class _DatasetWriter:

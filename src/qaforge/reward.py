@@ -12,13 +12,14 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Optional
 
-from . import prompts
 from .config import RewardConfig
 from .errors import GatewayError
-from .gateway import Gateway, StageTag, parse_yes_no
 from .types import BAD_LINE, line_fields
+
+if TYPE_CHECKING:
+    from .gateway import Gateway
 
 
 @dataclass
@@ -148,6 +149,8 @@ def judge_reward(
     counters: Optional[RewardCounters] = None,
 ) -> RewardResult:
     """Semantic-equivalence fallback. Fail-closed: any failure scores 0."""
+    from . import prompts
+    from .gateway import StageTag, parse_yes_no
     cfg = cfg or RewardConfig()
     extracted = extract_final_answer(req.rollout, cfg)
     user = prompts.JUDGE_TEMPLATE.format(question=req.question, gold=req.gold_answer,

@@ -4,6 +4,8 @@ Mock scripts are keyed by request fingerprint, so the exact bytes of every
 stage request are a contract. Every other test derives its fingerprints from
 the request builders themselves; this one pins them to literal values, so a
 changed template byte, system message, stage tag or model binding fails here.
+The three corrective re-asks (an unparseable reply, generate's over-long
+answer, distill's explanation without the answer) are pinned the same way.
 """
 
 import pytest
@@ -11,10 +13,10 @@ import pytest
 from qaforge.classify import build_classify_request
 from qaforge.config import ClassifyConfig, FilterConfig, GenerateConfig, RewardConfig, VerifyConfig
 from qaforge.filtering import build_filter_request
-from qaforge.gateway import StageTag, run_fingerprint
-from qaforge.generate import build_distill_request, build_generate_request
+from qaforge.gateway import ChatResponse, Gateway, StageTag, run_fingerprint
+from qaforge.generate import build_distill_request, build_generate_request, distill_cot, generate_qa
 from qaforge.reward import RewardRequest, judge_reward
-from qaforge.types import CandidateQA, DemoExample, Domain, Persona
+from qaforge.types import CandidateQA, DemoExample, Document, Domain, Persona
 from qaforge.verify import build_verify_request
 
 # Longer than generate.excerpt_chars (2000), so the distill excerpt cut is pinned too.
@@ -82,3 +84,57 @@ def test_stage_request_is_pinned(stage):
     assert req.stage_tag == StageTag(stage)
     assert (run_fingerprint(req), req.model, req.temperature, req.max_output_tokens) \
         == GOLDEN[stage]
+
+
+class ScriptedProvider:
+    """Replies with the given texts in order and records every request it is sent."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+
+    def send(self, req):
+        self.requests.append(req)
+        return ChatResponse(text=self.replies[len(self.requests) - 1])
+
+
+def reask_request(call, replies):
+    """The last request that call(gateway) sends while the provider plays replies."""
+    provider = ScriptedProvider(replies)
+    call(Gateway(provider))
+    assert len(provider.requests) == len(replies)
+    return provider.requests[-1]
+
+
+SHORT_QA = f"QUESTION: {QA.question}\nANSWER: {QA.answer}"
+LONG_QA = f"QUESTION: {QA.question}\nANSWER: {'fourteen meters below mean sea level ' * 6}"
+
+REASKS = {
+    "parse": lambda: reask_request(
+        lambda gw: gw.complete_structured(build_generate_request(DOC, PERSONA, DEMOS,
+                                                                 GenerateConfig()),
+                                          ["QUESTION", "ANSWER"]),
+        ["The channel is 14 meters deep.", SHORT_QA]),
+    "answer_length": lambda: reask_request(
+        lambda gw: generate_qa(DOC, Document(doc_id="doc-1", source="port", text=DOC),
+                               Domain.COMMERCE, PERSONA, DEMOS, gw, GenerateConfig()),
+        [LONG_QA, SHORT_QA]),
+    "distill": lambda: reask_request(
+        lambda gw: distill_cot(QA, DOC, gw, GenerateConfig()),
+        ["EXPLANATION: The channel was deepened.",
+         "EXPLANATION: The north channel was dredged to 14 meters."]),
+}
+
+# re-ask -> (stage, fingerprint, model, temperature, max_output_tokens)
+GOLDEN_REASKS = {
+    "parse": ("generate", "1c5009ec2ecb976eaacba33cb291b853", "gpt-4.1", 0.7, 1024),
+    "answer_length": ("generate", "097568dc9b25dd840506e2f7832aa568", "gpt-4.1", 0.7, 1024),
+    "distill": ("distill", "7d17f71320bf4ee96b716f063dfa67b9", "gpt-4.1", 0.7, 1024),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REASKS))
+def test_reask_request_is_pinned(name):
+    req = REASKS[name]()
+    assert (req.stage_tag.value, run_fingerprint(req), req.model, req.temperature,
+            req.max_output_tokens) == GOLDEN_REASKS[name]

@@ -1,4 +1,8 @@
-"""Resident memory: ledger bytes per entry, index bytes per gram, lazy HTTP stack."""
+"""Resident memory: ledger bytes per entry, index bytes per gram, lazy imports.
+
+The import checks start fresh processes, so they see what a reward server
+loads before it answers, not what earlier tests happened to import.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 
+from qaforge.config import load_config
 from qaforge.decontam import build_index
 from qaforge.ledger import RunLedger
 
@@ -90,3 +95,50 @@ def test_cli_and_reward_server_never_load_the_http_stack():
     assert json.loads(out.splitlines()[0])["reward"] == 1.0
     assert "qaforge.reward" in modules
     assert "requests" not in modules
+
+
+# The document pipeline and what only it uses; a reward server never runs them.
+PIPELINE_ONLY = {
+    "qaforge.pipeline", "qaforge.ledger", "qaforge.ingest", "qaforge.decontam",
+    "qaforge.classify", "qaforge.generate", "qaforge.filtering", "qaforge.verify",
+    "yaml", "concurrent.futures", "statistics",
+}
+
+
+def test_reward_server_loads_only_the_reward_path():
+    request = {"question": "q", "gold_answer": "Paris", "rollout": "Answer: Paris"}
+    modules, out = _imported_modules(["-m", "qaforge", "reward", "--stdin"],
+                                     stdin=json.dumps(request) + "\n")
+    assert json.loads(out.splitlines()[0])["reward"] == 1
+    assert {m for m in modules if m.startswith("qaforge.")} == {
+        "qaforge.cli", "qaforge.config", "qaforge.errors", "qaforge.types", "qaforge.reward"}
+    assert not PIPELINE_ONLY & modules, sorted(PIPELINE_ONLY & modules)
+
+
+def test_judging_reward_server_adds_the_gateway_not_the_pipeline(tmp_path):
+    script = tmp_path / "judge.jsonl"
+    script.write_text(json.dumps({"stage_tag": "judge", "fingerprint": "default",
+                                  "response": "MATCH: yes"}) + "\n")
+    request = {"question": "Capital of France?", "gold_answer": "Paris",
+               "rollout": "Answer: the city of Paris"}
+    modules, out = _imported_modules(
+        ["-m", "qaforge", "reward", "--stdin", "--judge", "--mock", str(script)],
+        stdin=json.dumps(request) + "\n")
+    assert json.loads(out.splitlines()[0]) == {
+        "reward": 1, "method": "judge", "extracted_answer": "the city of Paris"}
+    assert {"qaforge.gateway", "qaforge.prompts"} <= modules
+    assert not PIPELINE_ONLY & modules, sorted(PIPELINE_ONLY & modules)
+
+
+def test_a_json_config_loads_without_yaml(tmp_path):
+    cfg = {"sources": [{"source": "web", "path": "web.jsonl"}],
+           "gateway": {"backoff_base": 0.5, "concurrency": 3}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg, indent=1))
+    (tmp_path / "config.yaml").write_text("sources:\n  - {source: web, path: web.jsonl}\n"
+                                          "gateway:\n  backoff_base: 0.5\n  concurrency: 3\n")
+    assert load_config(str(tmp_path / "config.json")) == load_config(str(tmp_path / "config.yaml"))
+    modules, out = _imported_modules(
+        ["-c", "import sys; from qaforge.config import load_config; "
+               "print(load_config(sys.argv[1]).gateway.concurrency)", str(tmp_path / "config.json")])
+    assert out.strip() == "3"
+    assert "yaml" not in modules

@@ -1076,6 +1076,43 @@ def test_cli_decontaminate_out_may_be_the_dataset(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "evals"]
 
 
+@pytest.mark.parametrize("error", [OSError, RuntimeError])
+def test_cli_decontaminate_that_fails_partway_leaves_no_tmp_file(tmp_path, capsys, monkeypatch,
+                                                                  error):
+    dataset = tmp_path / "data.jsonl"
+    write_jsonl(dataset, [{"record_id": f"r{i}", "question": f"Question {i}?", "answer": "A"}
+                          for i in range(3)])
+    eval_dir = tmp_path / "evals"
+    eval_dir.mkdir()
+    write_jsonl(eval_dir / "bench.jsonl", [{"text": "An unrelated benchmark question."}])
+    out = tmp_path / "clean.jsonl"
+    out.write_bytes(b'{"record_id": "old"}\n')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    import qaforge.decontam
+
+    screen = qaforge.decontam.is_contaminated
+    calls = []
+
+    def failing_screen(question, answer, index):
+        calls.append(question)
+        if len(calls) == 2:
+            raise error("screen failed")
+        return screen(question, answer, index)
+
+    monkeypatch.setattr(qaforge.decontam, "is_contaminated", failing_screen)
+    args = ["decontaminate", "--dataset", str(dataset), "--eval-dir", str(eval_dir),
+            "--out", str(out)]
+    if error is OSError:
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith("error: screen failed")
+    else:
+        with pytest.raises(RuntimeError):
+            cli.main(args)
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.jsonl", "data.jsonl", "evals"]
+
+
 @pytest.mark.parametrize("ngram", ["0", "-3"])
 def test_cli_decontaminate_rejects_an_ngram_below_one(tmp_path, capsys, ngram):
     dataset = tmp_path / "data.jsonl"
