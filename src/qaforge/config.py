@@ -120,6 +120,11 @@ def _build(cls, data: Any, where: str):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    numbers = {"int": int, "float": (int, float), "Optional[int]": (int, type(None))}
+    for f in dataclasses.fields(cls):  # by annotation; a bool is never a number
+        value, kinds = data.get(f.name, 0), numbers.get(f.type)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ConfigError(f"{where}.{f.name} must be {f.type}, got {value!r}")
     return cls(**data)
 
 

@@ -13,6 +13,13 @@ Idempotence rule: an item_id appears at most once per stage log. log() returns
 False instead of appending a second row, which is what makes at-least-once
 processing safe. A torn final line from a crash is skipped on load and cut
 off before the next append; the item simply gets reprocessed.
+
+An append reserves its line's byte range under the lock (duplicate check,
+json.dumps, advance the stage's end), writes it with os.pwrite with no lock
+held, then publishes the row under the lock; a log of an id being written
+waits for that row, then returns False. A process killed before its write
+leaves NUL bytes where the line belongs, and JSON lines hold no raw NUL, so
+on load a line's row is the bytes after its last NUL.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from typing import Any, BinaryIO, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
 
@@ -57,13 +64,15 @@ class RunLedger:
         self.dir = os.path.join(run_dir, "ledgers")
         os.makedirs(self.dir, exist_ok=True)
         self._lock = threading.Lock()
+        self._published = threading.Condition(self._lock)
         # Per stage: item_id -> (outcome, offset, size) of the item's line.
         self._rows: dict[str, dict[str, tuple[str, int, int]]] = {s: {} for s in STAGES}
+        self._reserved: dict[str, set[str]] = {s: set() for s in STAGES}  # ids being written
         self._counts: dict[str, Counter] = {s: Counter() for s in STAGES}
-        # End of the last complete line, kept here so an append needs no tell().
+        # End of the last complete or reserved line: the next append's offset.
         self._ends: dict[str, int] = {s: 0 for s in STAGES}
-        self._files: dict[str, BinaryIO] = {}  # append handles, opened on first log
-        self._fds: dict[str, int] = {}  # read-only descriptors for get()
+        self._files: dict[str, int] = {}  # write descriptors, opened on first log
+        self._fds: dict[str, int] = {}  # read descriptors for get(); a new file shares its write one
         for stage in STAGES:
             path = self._path(stage)
             if os.path.exists(path):
@@ -80,31 +89,31 @@ class RunLedger:
             for raw in fh:
                 if not raw.endswith(b"\n"):
                     break  # torn tail line from a crash
-                entry = _parse(raw)
+                skip = raw.rfind(b"\0") + 1  # past an unwritten reservation
+                entry = _parse(raw[skip:])
                 if entry is not None and entry["item_id"] not in rows:
                     outcome = sys.intern(entry["outcome"])
-                    rows[entry["item_id"]] = (outcome, offset, len(raw))
+                    rows[entry["item_id"]] = (outcome, offset + skip, len(raw) - skip)
                     counts[(outcome, entry.get("reason", ""))] += 1
                 offset += len(raw)
         self._ends[stage] = offset
 
-    def _file(self, stage: str) -> BinaryIO:
-        """The stage's append handle; the caller holds the lock."""
-        fh = self._files.get(stage)
-        if fh is None:
+    def _file(self, stage: str) -> int:
+        """The stage's write descriptor; the caller holds the lock."""
+        fd = self._files.get(stage)
+        if fd is None:
             path = self._path(stage)
-            fh = open(path, "ab")
+            # No O_APPEND: Linux ignores pwrite's offset on such a descriptor.
+            fd = self._files[stage] = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
             # Cut a torn tail before the first append: a line glued to it
             # would not parse, and both items would be lost on the next load.
-            fh.truncate(self._ends[stage])
-            self._files[stage] = fh
-            if stage not in self._fds:
-                self._fds[stage] = os.open(path, os.O_RDONLY)
-        return fh
+            os.ftruncate(fd, self._ends[stage])
+            self._fds.setdefault(stage, fd)
+        return fd
 
     def get(self, stage: str, item_id: str) -> Optional[dict[str, Any]]:
-        # No lock: a row is inserted only after its line is written and
-        # flushed, and a row never changes after it is inserted.
+        # No lock: a row is inserted only after its line is written, and a
+        # row never changes after it is inserted.
         row = self._rows[stage].get(item_id)
         if row is None:
             return None
@@ -131,8 +140,9 @@ class RunLedger:
         if item_id in self._rows[stage]:
             return False  # a resume re-logs every ingested item; checked again under the lock
         entry = make_entry(item_id, outcome, reason, fingerprint, data)
+        rows, reserved = self._rows[stage], self._reserved[stage]
         with self._lock:
-            rows = self._rows[stage]
+            self._published.wait_for(lambda: item_id not in reserved)
             if item_id in rows:
                 return False
             # Serialised under the lock on purpose: with json.dumps outside it,
@@ -140,14 +150,21 @@ class RunLedger:
             # interpreter lock for the whole dump, and the ingest thread of a
             # CPU-bound run waits on it (measured on the cpu_bulk benchmark).
             line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
-            fh = self._file(stage)
-            fh.write(line)
-            fh.flush()
-            offset = self._ends[stage]
+            fd, offset = self._file(stage), self._ends[stage]
             self._ends[stage] = offset + len(line)
-            outcome = sys.intern(outcome)
-            self._counts[stage][(outcome, reason)] += 1
-            rows[item_id] = (outcome, offset, len(line))
+            reserved.add(item_id)
+        row = None
+        try:  # pwrite releases the interpreter lock, so no ledger lock is held here
+            if os.pwrite(fd, line, offset) != len(line):
+                raise OSError(f"short write to the {stage} ledger")
+            row = (sys.intern(outcome), offset, len(line))
+        finally:
+            with self._lock:
+                if row is not None:
+                    self._counts[stage][(row[0], reason)] += 1
+                    rows[item_id] = row
+                reserved.discard(item_id)
+                self._published.notify_all()
         return True
 
     def entries(self, stage: str) -> Iterator[dict[str, Any]]:
@@ -158,8 +175,9 @@ class RunLedger:
         offset = 0
         with open(self._path(stage), "rb") as fh:
             for raw in fh:
-                start, offset = offset, offset + len(raw)
-                entry = _parse(raw)
+                skip = raw.rfind(b"\0") + 1  # past an unwritten reservation, as in _load
+                start, offset = offset + skip, offset + len(raw)
+                entry = _parse(raw[skip:])
                 # Skips a later duplicate or a garbage line, as load did.
                 if entry is not None and rows.get(entry["item_id"], (None, -1))[1] == start:
                     yield entry
@@ -191,9 +209,7 @@ class RunLedger:
 
     def close(self) -> None:
         with self._lock:
-            for fh in self._files.values():
-                fh.close()
-            self._files.clear()
-            for fd in self._fds.values():
+            for fd in {*self._files.values(), *self._fds.values()}:
                 os.close(fd)
+            self._files.clear()
             self._fds.clear()

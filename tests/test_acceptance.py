@@ -8,7 +8,11 @@ corpus comes from fixture_builder: 120 documents, 560 scripted LLM calls,
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +25,7 @@ from fixture_builder import EXPECTED_RECORDS, build_fixture, build_throughput_co
 from test_decontam import run_oracle_trials
 from test_reward import SCORE_TABLE
 
+import qaforge
 from qaforge.classify import build_classify_request
 from qaforge.config import FilterConfig, RewardConfig, config_from_dict
 from qaforge.decontam import build_index, build_index_from_dir, is_contaminated
@@ -213,6 +218,63 @@ def test_c3_interrupted_runs_resume_without_rework(e2e, tmp_path):
     assert report.records_written == EXPECTED_RECORDS
     assert provider.total_calls == 0
     assert done.out.read_bytes() == before
+
+
+KILL_AFTER_NTH_VERIFY = """
+import json, os, sys, threading
+from qaforge.config import config_from_dict
+from qaforge.gateway import Gateway, MockProvider, MockScript
+from qaforge.pipeline import run_pipeline
+
+cfg = config_from_dict(json.loads(sys.argv[1]))
+seen = os.open(sys.argv[2], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+nth, verified, lock = int(sys.argv[3]), [0], threading.Lock()
+
+def hook(stage, item_id, outcome):
+    with lock:
+        os.write(seen, (json.dumps([stage, item_id, outcome]) + "\\n").encode())
+        verified[0] += stage == "verify"
+        if verified[0] == nth:
+            os._exit(137)
+
+provider = MockProvider(MockScript.load(cfg.gateway.mock_script))
+gateway = Gateway(provider, concurrency=16, sleep=lambda _s: None)
+run_pipeline(cfg, gateway=gateway, on_stage_logged=hook)
+"""
+
+
+def test_a_run_killed_mid_append_keeps_every_logged_row_and_resumes_exactly(e2e, tmp_path):
+    """os._exit at concurrency 16 runs no cleanup: no finally, no close, no join."""
+    bundle = e2e.bundle
+    cfg = bundle.config()
+    cfg.run.out = str(tmp_path / "records.jsonl")
+    cfg.run.run_dir = str(tmp_path / "run")
+    seen_path = tmp_path / "seen.jsonl"
+    src = os.path.dirname(os.path.dirname(qaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_AFTER_NTH_VERIFY,
+         json.dumps(dataclasses.asdict(cfg)), str(seen_path), "90"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 137, proc.stderr
+
+    seen = [tuple(json.loads(line)) for line in seen_path.read_text().splitlines()]
+    assert sum(stage == "verify" for stage, _, _ in seen) == 90
+    ledger = RunLedger(cfg.run.run_dir)
+    try:
+        missing = [row for row in seen if ledger.outcome(row[0], row[1]) != row[2]]
+    finally:
+        ledger.close()
+    assert missing == []
+
+    _, gw = counted_gateway(bundle.mock_path)
+    report = resume_run(cfg.run.run_dir, gateway=gw)
+    assert report.records_written == EXPECTED_RECORDS
+    assert rows_sans_timestamp(cfg.run.out) == rows_sans_timestamp(e2e.runs["w4"].out)
+    reference = e2e.runs["w4"].report
+    assert report.funnel == reference.funnel
+    assert report.reasons == reference.reasons
+    assert report.funnel_consistent, report.funnel_problems
 
 
 def test_c4_reward_scoring_table_and_judge_escalation():

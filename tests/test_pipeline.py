@@ -138,6 +138,15 @@ def test_unknown_source_key_rejected():
         {"gateway": {"backoff_base": float("nan")}},
         {"gateway": {"backoff_cap": -1.0}},
         {"gateway": {"backoff_cap": float("nan")}},
+        {"gateway": {"backoff_base": "1e-3"}},
+        {"gateway": {"concurrency": "4"}},
+        {"gateway": {"concurrency": True}},
+        {"gateway": {"concurrency": 2.5}},
+        {"gateway": {"rate_capacity": True, "rate_refill_per_s": 1}},
+        {"filter": {"min_alpha": None}},
+        {"decontaminate": {"ngram": "13"}},
+        {"sources": [{"source": "a", "path": "p", "quota": "3"}]},
+        {"sources": [{"source": "a", "path": "p", "weight_seed": False}]},
     ],
 )
 def test_bound_validation(data):
@@ -211,6 +220,20 @@ def test_rate_config_gives_a_limiter_that_takes_one_token_per_attempt(tmp_path):
     assert (gw.provider.calls, clock.t) == (4, pytest.approx(2.0))
 
 
+def test_a_number_read_as_a_string_is_an_error_line(tmp_path, capsys):
+    cfg_path, cfg_dict = mini_config(tmp_path)
+    # PyYAML reads 1e-3 (no dot) as a string.
+    cfg_path.write_text(yaml.safe_dump(cfg_dict) + "filter: {min_alpha: 1e-3}\n")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "error: filter.min_alpha must be float, got '1e-3'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # An int where a float belongs, and None for an optional int, still load.
+    cfg = config_from_dict({"gateway": {"backoff_base": 0, "rate_capacity": 3,
+                                        "rate_refill_per_s": 1},
+                            "sources": [{"source": "a", "path": "p", "quota": None}]})
+    assert (cfg.gateway.backoff_base, cfg.gateway.rate_capacity) == (0, 3)
+
+
 def test_empty_config_is_all_defaults():
     cfg = config_from_dict({})
     assert cfg.gateway.concurrency == 4
@@ -281,6 +304,110 @@ def test_ledger_append_after_torn_tail_survives_the_next_load(tmp_path):
     finally:
         reloaded.close()
     assert [json.loads(line)["item_id"] for line in path.read_text().splitlines()] == ["a", "c"]
+
+
+# Stage files a killed process can leave, built from complete lines a and b and
+# a line x whose reserved range was not (or only partly) written.
+@pytest.mark.parametrize("layout", [
+    pytest.param(lambda a, x, b: a + b"\0" * len(x) + b, id="unwritten"),
+    pytest.param(lambda a, x, b: a + x[:9] + b"\0" * (len(x) - 9) + b, id="partly_written"),
+    pytest.param(lambda a, x, b: a + b + b"\0" * 30, id="torn_nul_tail"),
+])
+def test_ledger_load_skips_nul_runs_and_appends_past_them(tmp_path, layout):
+    ledger = RunLedger(str(tmp_path))
+    for item_id, outcome in [("a", "pass"), ("x", "reject"), ("b", "drop")]:
+        ledger.log("generate", item_id, outcome, data={"n": item_id})
+    ledger.close()
+    path = tmp_path / "ledgers" / "generate.jsonl"
+    a, x, b = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(layout(a, x, b))
+    end_of_b = path.read_bytes().index(b) + len(b)
+
+    resumed = RunLedger(str(tmp_path))
+    assert resumed.get("generate", "a")["data"] == {"n": "a"}
+    assert resumed.get("generate", "b")["data"] == {"n": "b"}
+    assert resumed.get("generate", "x") is None
+    assert [row["item_id"] for row in resumed.entries("generate")] == ["a", "b"]
+    assert resumed.replay_funnel()["generate"] == {"in": 2, "pass": 1, "reject": 0, "drop": 1}
+    assert resumed.log("generate", "c", "pass", data={"n": "c"}) is True
+    resumed.close()
+    assert path.read_bytes()[end_of_b:] == json.dumps(
+        {"data": {"n": "c"}, "fingerprint": "", "item_id": "c", "outcome": "pass", "reason": ""},
+        ensure_ascii=False, sort_keys=True).encode() + b"\n"
+
+    reloaded = RunLedger(str(tmp_path))
+    try:
+        assert [row["item_id"] for row in reloaded.entries("generate")] == ["a", "b", "c"]
+        assert reloaded.get("generate", "c")["data"] == {"n": "c"}
+        assert reloaded.replay_funnel()["generate"]["in"] == 3
+    finally:
+        reloaded.close()
+
+
+def blocking_pwrite(monkeypatch, item_id):
+    """Make os.pwrite of item_id's line set `entered`, then wait for `release`."""
+    entered, release, real = threading.Event(), threading.Event(), os.pwrite
+
+    def pwrite(fd, data, offset):
+        if f'"item_id": "{item_id}"'.encode() in data:
+            entered.set()
+            assert release.wait(timeout=10)
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    return entered, release
+
+
+def test_ledger_write_holds_no_lock_and_a_second_log_waits_for_it(tmp_path, monkeypatch):
+    ledger = RunLedger(str(tmp_path))
+    entered, release = blocking_pwrite(monkeypatch, "slow")
+    results = {}
+
+    def log(name, item_id, thread):
+        results[name] = ledger.log("generate", item_id, "pass", data={"thread": thread})
+
+    first = threading.Thread(target=log, args=("first", "slow", 1))
+    first.start()
+    assert entered.wait(timeout=10)
+    # Another id appends and reads back while the slow line is being written.
+    assert ledger.log("generate", "fast", "pass") is True
+    assert ledger.get("generate", "fast")["outcome"] == "pass"
+    second = threading.Thread(target=log, args=("second", "slow", 2))
+    second.start()
+    second.join(timeout=0.2)
+    assert second.is_alive() and ledger.get("generate", "slow") is None
+    release.set()
+    first.join(timeout=10)
+    second.join(timeout=10)
+    assert results == {"first": True, "second": False}
+    assert ledger.get("generate", "slow")["data"] == {"thread": 1}
+    ledger.close()
+    reloaded = RunLedger(str(tmp_path))
+    assert [row["item_id"] for row in reloaded.entries("generate")] == ["slow", "fast"]
+    reloaded.close()
+
+
+@pytest.mark.parametrize("fault", ["raise", "short"])
+def test_ledger_failed_write_unreserves_the_id(tmp_path, monkeypatch, fault):
+    ledger = RunLedger(str(tmp_path))
+    real = os.pwrite
+
+    def pwrite(fd, data, offset):
+        monkeypatch.setattr(os, "pwrite", real)
+        if fault == "raise":
+            raise OSError(28, "No space left on device")
+        return real(fd, data[:5], offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    with pytest.raises(OSError):
+        ledger.log("verify", "v1", "pass")
+    assert ledger.get("verify", "v1") is None and ledger.count("verify") == 0
+    assert ledger.log("verify", "v1", "reject", reason="leaked") is True
+    assert ledger.outcome_counts("verify") == {("reject", "leaked"): 1}
+    ledger.close()
+    reloaded = RunLedger(str(tmp_path))
+    assert [(r["item_id"], r["outcome"]) for r in reloaded.entries("verify")] == [("v1", "reject")]
+    reloaded.close()
 
 
 def test_ledger_unlocked_get_agrees_with_racing_writers(tmp_path):
