@@ -3,7 +3,8 @@
 
 Builds the demo fixture in a working directory, executes a complete run with
 the scripted mock provider, and prints the funnel, gateway totals, and a
-verdict comparing the output against the fixture's planned expectations.
+verdict comparing the records, funnel, request count and re-ask count
+against the fixture's planned expectations.
 Doubles as a smoke test and as a worked example of driving the engine from
 Python instead of the CLI.
 """
@@ -37,11 +38,17 @@ def main(argv=None) -> int:
     for line in report.summary_lines():
         print(line)
     print()
+    # The fixture plans one request per stage call and no corrective re-ask,
+    # so a stray request or re-ask fails the run as a wrong record count would.
+    requests = sum(bundle.expected["gateway_calls"].values())
     ok = (report.records_written == bundle.expected["records"]
-          and report.funnel == bundle.expected["funnel"])
+          and report.funnel == bundle.expected["funnel"]
+          and report.gateway["totals"]["requests"] == requests
+          and report.reasks == 0)
     verdict = "OK" if ok else "MISMATCH"
-    print(f"expected {bundle.expected['records']} records, "
-          f"wrote {report.records_written}: {verdict}")
+    print(f"expected {bundle.expected['records']} records, {requests} requests and 0 re-asks; "
+          f"got {report.records_written}, {report.gateway['totals']['requests']} and "
+          f"{report.reasks}: {verdict}")
     print(f"dataset: {cfg.run.out}")
     print(f"run dir: {cfg.run.run_dir}")
     return 0 if ok else 1

@@ -82,6 +82,7 @@ class StageCost:
     input_tokens: int = 0
     output_tokens: int = 0
     retries: int = 0
+    reasks: int = 0
     failures: int = 0
 
 
@@ -89,7 +90,8 @@ class CostLedger:
     """Thread-safe per-(model, stage) accounting.
 
     Invariant: requests = successes + permanent failures; retries are counted
-    separately and never inflate the request count.
+    separately and never inflate the request count. A re-ask is a request of
+    its own and also counts one reask.
     """
 
     def __init__(self) -> None:
@@ -114,6 +116,10 @@ class CostLedger:
             cell.failures += 1
             cell.retries += retries
 
+    def record_reask(self, model: str, stage: StageTag) -> None:
+        with self._lock:
+            self._cell(model, stage).reasks += 1
+
     def total(self, fieldname: str) -> int:
         with self._lock:
             return sum(getattr(c, fieldname) for c in self._cells.values())
@@ -122,23 +128,19 @@ class CostLedger:
         """Nested {model: {stage: counters}} view plus totals and optional cost estimate."""
         with self._lock:
             cells = {k: StageCost(**vars(v)) for k, v in self._cells.items()}
-        out: dict = {"models": {}, "totals": {}}
-        totals = StageCost()
+        totals = vars(StageCost())
+        out: dict = {"models": {}, "totals": totals}
         est_cost = 0.0
         for (model, stage), cell in sorted(cells.items()):
-            out["models"].setdefault(model, {})[stage] = vars(cell).copy()
-            totals.requests += cell.requests
-            totals.input_tokens += cell.input_tokens
-            totals.output_tokens += cell.output_tokens
-            totals.retries += cell.retries
-            totals.failures += cell.failures
+            counters = out["models"].setdefault(model, {})[stage] = vars(cell)
+            for name, value in counters.items():
+                totals[name] += value
             if pricing and model in pricing:
                 price = pricing[model]
                 est_cost += cell.input_tokens * price.get("input_per_1m", 0.0) / 1e6
                 est_cost += cell.output_tokens * price.get("output_per_1m", 0.0) / 1e6
-        out["totals"] = vars(totals).copy()
         if pricing:
-            out["totals"]["estimated_cost_usd"] = round(est_cost, 6)
+            totals["estimated_cost_usd"] = round(est_cost, 6)
         return out
 
 
@@ -259,7 +261,6 @@ class MockProvider:
             text=text,
             input_tokens=len(req.system.split()) + len(req.user.split()),
             output_tokens=len(text.split()),
-            provider_latency=0.0,
         )
 
 
@@ -291,7 +292,6 @@ class HTTPProvider:
         }
         import requests  # loaded on first send: no other path needs the HTTP stack
 
-        start = time.monotonic()
         try:
             resp = requests.post(
                 f"{self.base_url}/chat/completions",
@@ -301,7 +301,6 @@ class HTTPProvider:
             )
         except requests.RequestException as exc:
             raise TransientProviderError(f"transport failure: {exc}") from exc
-        latency = time.monotonic() - start
         if resp.status_code in (408, 429) or resp.status_code >= 500:
             raise TransientProviderError(f"provider returned {resp.status_code}")
         if resp.status_code in (400, 413, 422):
@@ -318,7 +317,6 @@ class HTTPProvider:
             text=text,
             input_tokens=int(usage.get("prompt_tokens", 0)),
             output_tokens=int(usage.get("completion_tokens", 0)),
-            provider_latency=latency,
         )
 
 
@@ -399,8 +397,11 @@ class Gateway:
         self._rate = rate
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._reasks_lock = threading.Lock()
-        self.reasks = 0
+
+    @property
+    def reasks(self) -> int:
+        """Parse and check re-asks sent so far, over every model and stage."""
+        return self.ledger.total("reasks")
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         """One logical request: admission, provider call, bounded retries.
@@ -433,33 +434,40 @@ class Gateway:
             return resp
         raise AssertionError("unreachable")
 
-    def complete_structured(self, req: ChatRequest, fields: list[str]) -> dict[str, str]:
-        """complete() plus tagged-field parsing, with up to max_reasks corrective retries.
+    def complete_structured(
+        self, req: ChatRequest, fields: list[str],
+        check: Optional[Callable[[dict[str, str]], Optional[str]]] = None,
+    ) -> dict[str, str]:
+        """complete() plus tagged-field parsing, with corrective re-asks.
 
-        Each re-ask appends a correction to the user message, so it is a new
-        request with its own fingerprint and ledger row.
+        An unparseable reply is re-asked up to max_reasks times. Then, when
+        check(fields) returns a note, the original request is re-asked once
+        with that note appended; that re-ask has its own parse budget, and its
+        fields come back unchecked, so the caller gives the verdict. Each
+        re-ask is a new request with its own fingerprint and ledger row, and
+        counts one ledger reask.
         """
         attempt_req = req
-        last_error = "no attempt made"
         for attempt in range(self.max_reasks + 1):
-            resp = self.complete(attempt_req)
-            try:
-                return parse_tagged_block(resp.text, fields)
-            except StructuredParseError as exc:
-                last_error = str(exc)
-                if attempt == self.max_reasks:
-                    break
-                with self._reasks_lock:
-                    self.reasks += 1
+            if attempt:
+                self.ledger.record_reask(req.model, req.stage_tag)
                 attempt_req = reask(
                     attempt_req,
-                    f"\n\nYour previous reply could not be parsed ({exc}). "
+                    f"\n\nYour previous reply could not be parsed ({error}). "
                     f"Respond again with exactly these fields, one per line, "
                     f"each as 'FIELD: value': {', '.join(fields)}.",
                 )
-        raise StructuredParseError(
-            f"unparseable after {self.max_reasks + 1} tries: {last_error}"
-        )
+            try:
+                out = parse_tagged_block(self.complete(attempt_req).text, fields)
+                break
+            except StructuredParseError as exc:
+                error = exc
+        else:
+            raise StructuredParseError(f"unparseable after {self.max_reasks + 1} tries: {error}")
+        if check is None or (note := check(out)) is None:
+            return out
+        self.ledger.record_reask(req.model, req.stage_tag)
+        return self.complete_structured(reask(req, note), fields)
 
 
 def build_gateway(gcfg: GatewayConfig) -> Gateway:

@@ -16,7 +16,7 @@ from . import prompts
 from .config import GenerateConfig
 from .decontam import normalize_text
 from .errors import ConfigError, RequestRejectedError, StructuredParseError
-from .gateway import ChatRequest, Gateway, StageTag, reask, run_fingerprint
+from .gateway import ChatRequest, Gateway, StageTag, run_fingerprint
 from .types import CandidateQA, DemoExample, Document, Domain, Persona, content_hash
 
 
@@ -117,18 +117,14 @@ def generate_qa(
     model-based check stage spends tokens on it.
     """
     req = build_generate_request(llm_text, persona, demos, cfg)
-    fields = gateway.complete_structured(req, ["QUESTION", "ANSWER"])
+    too_long = (f"\n\nYour previous answer was too long. ANSWER must be at most "
+                f"{cfg.answer_max_chars} characters. Give the shortest correct answer.")
+    fields = gateway.complete_structured(
+        req, ["QUESTION", "ANSWER"],
+        check=lambda f: too_long if len(f["ANSWER"].strip()) > cfg.answer_max_chars else None)
     question, answer = fields["QUESTION"].strip(), fields["ANSWER"].strip()
     if len(answer) > cfg.answer_max_chars:
-        retry_req = reask(
-            req,
-            f"\n\nYour previous answer was too long. ANSWER must be at most "
-            f"{cfg.answer_max_chars} characters. Give the shortest correct answer.",
-        )
-        fields = gateway.complete_structured(retry_req, ["QUESTION", "ANSWER"])
-        question, answer = fields["QUESTION"].strip(), fields["ANSWER"].strip()
-        if len(answer) > cfg.answer_max_chars:
-            raise AnswerTooLongError(f"answer still {len(answer)} chars after re-ask")
+        raise AnswerTooLongError(f"answer still {len(answer)} chars after re-ask")
     if contains_word_seq(question, answer):
         raise PreLeakError("answer appears verbatim inside the question")
     return CandidateQA(
@@ -160,18 +156,13 @@ def distill_cot(
     unparseable reply or a provider refusal of the request also yields None.
     """
     req = build_distill_request(qa, llm_text, cfg)
-    for attempt in range(2):
-        try:
-            fields = gateway.complete_structured(req, ["EXPLANATION"])
-        except (StructuredParseError, RequestRejectedError):
-            return None
-        explanation = fields["EXPLANATION"].strip()
-        if contains_word_seq(explanation, qa.answer):
-            return explanation
-        if attempt == 0:
-            req = reask(
-                req,
-                "\n\nYour previous explanation did not state the answer. "
-                "End the explanation by stating the answer itself.",
-            )
-    return None
+    no_answer = ("\n\nYour previous explanation did not state the answer. "
+                 "End the explanation by stating the answer itself.")
+    try:
+        fields = gateway.complete_structured(
+            req, ["EXPLANATION"],
+            check=lambda f: None if contains_word_seq(f["EXPLANATION"], qa.answer) else no_answer)
+    except (StructuredParseError, RequestRejectedError):
+        return None
+    explanation = fields["EXPLANATION"].strip()
+    return explanation if contains_word_seq(explanation, qa.answer) else None

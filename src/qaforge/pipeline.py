@@ -428,8 +428,8 @@ class RunReport:
             lines.append(f"FUNNEL INCONSISTENT: {'; '.join(self.funnel_problems)}")
         totals = self.gateway.get("totals", {})
         lines.append(
-            f"gateway: {totals.get('requests', 0)} requests, "
-            f"{totals.get('retries', 0)} retries, {totals.get('failures', 0)} failures"
+            f"gateway: {totals.get('requests', 0)} requests, {totals.get('retries', 0)} retries, "
+            f"{self.reasks} re-asks, {totals.get('failures', 0)} failures"
         )
         return lines
 

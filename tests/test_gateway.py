@@ -157,6 +157,7 @@ def test_success_records_zero_retries(gw_factory):
         "input_tokens": 3,
         "output_tokens": 1,
         "retries": 0,
+        "reasks": 0,
         "failures": 0,
     }
 
@@ -189,6 +190,7 @@ def test_exhaustion_raises_transport_error(gw_factory):
         "input_tokens": 0,
         "output_tokens": 0,
         "retries": 2,
+        "reasks": 0,
         "failures": 1,
     }
 
@@ -430,22 +432,51 @@ def test_reask_changes_only_the_user_text():
 
 
 def test_reask_count_is_exact_under_threads(gw_factory):
-    class ReaskOnceProvider:
+    class ReaskTwiceProvider:
+        """Unparseable, then (after the parse re-ask) too long, then (after the length re-ask) ok."""
+
         def send(self, req):
-            return ChatResponse(text="ANSWER: ok" if "could not be parsed" in req.user else "junk")
+            if "too long" in req.user:
+                return ChatResponse(text="ANSWER: ok")
+            if "could not be parsed" in req.user:
+                return ChatResponse(text="ANSWER: far too long")
+            return ChatResponse(text="junk")
+
+    def check(fields):
+        return " -- too long" if len(fields["ANSWER"]) > 5 else None
 
     n = 400
-    gw = gw_factory(provider=ReaskOnceProvider(), concurrency=32)
+    gw = gw_factory(provider=ReaskTwiceProvider(), concurrency=32)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=32) as pool:
-            futures = [pool.submit(gw.complete_structured, make_req(user=f"u{i}"), ["ANSWER"])
-                       for i in range(n)]
+            futures = [pool.submit(gw.complete_structured, make_req(user=f"u{i}"), ["ANSWER"],
+                                   check) for i in range(n)]
             assert all(f.result(timeout=60) == {"ANSWER": "ok"} for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert gw.reasks == n
+    assert gw.reasks == 2 * n
+    assert gw.ledger.snapshot()["totals"]["requests"] == 3 * n
+
+
+def test_check_reasks_the_original_request_once(gw_factory):
+    provider = SequenceProvider(["junk", "ANSWER: too long", "junk", "ANSWER: still too long"])
+    gw = gw_factory(provider=provider, max_reasks=1)
+    notes = []
+
+    def check(fields):
+        notes.append(fields["ANSWER"])
+        return " -- shorter"
+
+    assert gw.complete_structured(make_req(), ["ANSWER"], check) == {"ANSWER": "still too long"}
+    # The check runs once, on the first parsed reply; the re-ask's reply is the caller's to judge.
+    assert notes == ["too long"]
+    first, parse_reask, check_reask, nested = provider.requests
+    assert check_reask.user == first.user + " -- shorter"
+    assert nested.user.startswith(check_reask.user) and "could not be parsed" in nested.user
+    assert parse_reask.user.startswith(first.user) and "could not be parsed" in parse_reask.user
+    assert gw.reasks == 3
 
 
 # ---------------------------------------------------------------- http client

@@ -5,7 +5,10 @@ stage request are a contract. Every other test derives its fingerprints from
 the request builders themselves; this one pins them to literal values, so a
 changed template byte, system message, stage tag or model binding fails here.
 The three corrective re-asks (an unparseable reply, generate's over-long
-answer, distill's explanation without the answer) are pinned the same way.
+answer, distill's explanation without the answer) are pinned the same way,
+and so are four nested ones: a second parse re-ask, a parse re-ask inside
+the length or distill re-ask, and a length re-ask after a parse re-ask, which
+starts again from the original request.
 """
 
 import pytest
@@ -106,23 +109,35 @@ def reask_request(call, replies):
     return provider.requests[-1]
 
 
+GARBAGE = "The channel is 14 meters deep."
 SHORT_QA = f"QUESTION: {QA.question}\nANSWER: {QA.answer}"
 LONG_QA = f"QUESTION: {QA.question}\nANSWER: {'fourteen meters below mean sea level ' * 6}"
+MISS = "EXPLANATION: The channel was deepened."
+HIT = "EXPLANATION: The north channel was dredged to 14 meters."
+
+
+def structured(gw):
+    return gw.complete_structured(build_generate_request(DOC, PERSONA, DEMOS, GenerateConfig()),
+                                  ["QUESTION", "ANSWER"])
+
+
+def generate(gw):
+    return generate_qa(DOC, Document(doc_id="doc-1", source="port", text=DOC),
+                       Domain.COMMERCE, PERSONA, DEMOS, gw, GenerateConfig())
+
+
+def distill(gw):
+    return distill_cot(QA, DOC, gw, GenerateConfig())
+
 
 REASKS = {
-    "parse": lambda: reask_request(
-        lambda gw: gw.complete_structured(build_generate_request(DOC, PERSONA, DEMOS,
-                                                                 GenerateConfig()),
-                                          ["QUESTION", "ANSWER"]),
-        ["The channel is 14 meters deep.", SHORT_QA]),
-    "answer_length": lambda: reask_request(
-        lambda gw: generate_qa(DOC, Document(doc_id="doc-1", source="port", text=DOC),
-                               Domain.COMMERCE, PERSONA, DEMOS, gw, GenerateConfig()),
-        [LONG_QA, SHORT_QA]),
-    "distill": lambda: reask_request(
-        lambda gw: distill_cot(QA, DOC, gw, GenerateConfig()),
-        ["EXPLANATION: The channel was deepened.",
-         "EXPLANATION: The north channel was dredged to 14 meters."]),
+    "parse": lambda: reask_request(structured, [GARBAGE, SHORT_QA]),
+    "answer_length": lambda: reask_request(generate, [LONG_QA, SHORT_QA]),
+    "distill": lambda: reask_request(distill, [MISS, HIT]),
+    "parse_twice": lambda: reask_request(structured, [GARBAGE, GARBAGE, SHORT_QA]),
+    "parse_in_length": lambda: reask_request(generate, [LONG_QA, GARBAGE, SHORT_QA]),
+    "length_after_parse": lambda: reask_request(generate, [GARBAGE, LONG_QA, SHORT_QA]),
+    "parse_in_distill": lambda: reask_request(distill, [MISS, GARBAGE, HIT]),
 }
 
 # re-ask -> (stage, fingerprint, model, temperature, max_output_tokens)
@@ -130,6 +145,11 @@ GOLDEN_REASKS = {
     "parse": ("generate", "1c5009ec2ecb976eaacba33cb291b853", "gpt-4.1", 0.7, 1024),
     "answer_length": ("generate", "097568dc9b25dd840506e2f7832aa568", "gpt-4.1", 0.7, 1024),
     "distill": ("distill", "7d17f71320bf4ee96b716f063dfa67b9", "gpt-4.1", 0.7, 1024),
+    "parse_twice": ("generate", "9fbc1c652a300576e8dd10642e86f27b", "gpt-4.1", 0.7, 1024),
+    "parse_in_length": ("generate", "76b6a588e6ecf14e5df135452db6c919", "gpt-4.1", 0.7, 1024),
+    # The same request as answer_length: the length re-ask starts from the original.
+    "length_after_parse": ("generate", "097568dc9b25dd840506e2f7832aa568", "gpt-4.1", 0.7, 1024),
+    "parse_in_distill": ("distill", "d420f96af1f6bbc075281bf2362e7e2e", "gpt-4.1", 0.7, 1024),
 }
 
 

@@ -174,11 +174,11 @@ def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, referenc
         events.append(("build", sent.wait(timeout=10)))
         return real_build(eval_dir, n)
 
-    pinned_at_first_screen = []
+    pinned_at_screen = []
 
     def hook(stage, item_id, outcome):
-        if stage == "decontaminate" and not pinned_at_first_screen:
-            pinned_at_first_screen.append(path.exists())
+        if stage == "decontaminate":
+            pinned_at_screen.append(path.exists())
 
     provider.send = recording_send
     monkeypatch.setattr(decontam, "build_index_from_dir", recording_build)
@@ -186,7 +186,7 @@ def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, referenc
 
     assert events[0] == "send"
     assert [e for e in events if e != "send"] == [("build", True)]
-    assert pinned_at_first_screen == [True]
+    assert pinned_at_screen and all(pinned_at_screen)
     assert report.funnel_consistent, report.funnel_problems
     assert read_index(str(path), 13) == real_build(str(bundle.eval_dir), 13)
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]

@@ -617,6 +617,60 @@ def test_mini_run_end_to_end(tmp_path):
     assert (tmp_path / "run" / "ledgers" / "write.jsonl").exists()
 
 
+CORRECTIVE_NOTES = ("could not be parsed", "answer was too long", "did not state the answer")
+
+
+class CorrectingProvider:
+    """The mini script, except that generate and distill replies need correcting.
+
+    Generate: the first reply is unparseable, its parse re-ask gets an
+    over-long answer, and the length re-ask a short one. Distill: the first
+    explanation omits the answer, the re-ask states it.
+    """
+
+    def __init__(self):
+        self.mock = MockProvider(default_script())
+        self.requests = []
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.requests.append(req)
+        if req.stage_tag == StageTag.GENERATE:
+            if "answer was too long" in req.user:
+                return ChatResponse(text="QUESTION: What does the plant make?\nANSWER: Ammonia")
+            if "could not be parsed" in req.user:
+                return ChatResponse(text="QUESTION: What does the plant make?\nANSWER: "
+                                         + "ammonia for fertilizer " * 20)
+            return ChatResponse(text="The plant makes ammonia.")
+        if req.stage_tag == StageTag.DISTILL:
+            if "did not state the answer" in req.user:
+                return ChatResponse(text="EXPLANATION: The text says it makes ammonia.")
+            return ChatResponse(text="EXPLANATION: The text names one product.")
+        return self.mock.send(req)
+
+
+def test_report_counts_every_reask_per_stage(tmp_path):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3)
+    cfg = load_config(str(cfg_path))
+    cfg.generate.sft_distill = True
+    provider = CorrectingProvider()
+    report = run_pipeline(cfg, gateway=Gateway(provider, concurrency=4, sleep=lambda _s: None))
+
+    assert report.records_written == 3
+    assert report.reasons["distill"] == {"pass:explained": 3}
+    noted = [r for r in provider.requests if any(n in r.user for n in CORRECTIVE_NOTES)]
+    assert len(noted) == 3 * 2 + 3
+    assert report.reasks == len(noted)
+    per_stage = {}
+    for stages in report.gateway["models"].values():
+        for stage, cell in stages.items():
+            per_stage[stage] = per_stage.get(stage, 0) + cell["reasks"]
+    assert per_stage == {"filter": 0, "classify": 0, "generate": 6, "verify": 0, "distill": 3}
+    assert report.gateway["totals"]["reasks"] == len(noted)
+    assert "9 re-asks" in "\n".join(report.summary_lines())
+
+
 def test_fresh_run_refuses_used_run_dir(tmp_path):
     cfg_path, _ = mini_config(tmp_path)
     cfg = load_config(str(cfg_path))
