@@ -41,14 +41,14 @@ def main(argv=None) -> int:
     # The fixture plans one request per stage call and no corrective re-ask,
     # so a stray request or re-ask fails the run as a wrong record count would.
     requests = sum(bundle.expected["gateway_calls"].values())
+    totals = report.gateway["totals"]
     ok = (report.records_written == bundle.expected["records"]
           and report.funnel == bundle.expected["funnel"]
-          and report.gateway["totals"]["requests"] == requests
-          and report.reasks == 0)
+          and totals["requests"] == requests
+          and totals["reasks"] == 0)
     verdict = "OK" if ok else "MISMATCH"
     print(f"expected {bundle.expected['records']} records, {requests} requests and 0 re-asks; "
-          f"got {report.records_written}, {report.gateway['totals']['requests']} and "
-          f"{report.reasks}: {verdict}")
+          f"got {report.records_written}, {totals['requests']} and {totals['reasks']}: {verdict}")
     print(f"dataset: {cfg.run.out}")
     print(f"run dir: {cfg.run.run_dir}")
     return 0 if ok else 1

@@ -111,6 +111,17 @@ class PipelineConfig:
     reward: RewardConfig = field(default_factory=RewardConfig)
 
 
+def _fits(annotation: str, value: Any) -> bool:
+    """Whether value fits a field's annotation; a bool is never a number."""
+    if annotation.startswith("Optional["):
+        return value is None or _fits(annotation[len("Optional["):-1], value)
+    if annotation == "list[str]":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kinds = {"int": int, "float": (int, float), "bool": bool, "str": str}.get(annotation)
+    return kinds is None or (isinstance(value, kinds)
+                             and isinstance(value, bool) == (annotation == "bool"))
+
+
 def _build(cls, data: Any, where: str):
     if data is None:
         data = {}
@@ -120,11 +131,9 @@ def _build(cls, data: Any, where: str):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    numbers = {"int": int, "float": (int, float), "Optional[int]": (int, type(None))}
-    for f in dataclasses.fields(cls):  # by annotation; a bool is never a number
-        value, kinds = data.get(f.name, 0), numbers.get(f.type)
-        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ConfigError(f"{where}.{f.name} must be {f.type}, got {value!r}")
+    for f in dataclasses.fields(cls):
+        if f.name in data and not _fits(f.type, data[f.name]):
+            raise ConfigError(f"{where}.{f.name} must be {f.type}, got {data[f.name]!r}")
     return cls(**data)
 
 

@@ -11,34 +11,18 @@ from __future__ import annotations
 import glob
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from collections import Counter
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, IngestError
 from .types import Document, SourceSpec, content_hash, make_doc_id
 
-# on_drop(source, item_key, reason) lets the orchestrator ledger every loss.
+# on_drop(source, item_key, reason) lets the orchestrator ledger and count every loss.
 DropHook = Callable[[str, str, str], None]
 
 
-@dataclass
-class IngestStats:
-    lines: int = 0
-    kept: int = 0
-    dropped_parse: int = 0
-    dropped_empty: int = 0
-    dropped_dup: int = 0
-    dropped_over_quota: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "lines": self.lines,
-            "kept": self.kept,
-            "dropped_parse": self.dropped_parse,
-            "dropped_empty": self.dropped_empty,
-            "dropped_dup": self.dropped_dup,
-            "dropped_over_quota": self.dropped_over_quota,
-        }
+def _ignore_drop(source: str, key: str, reason: str) -> None:
+    pass
 
 
 def _source_files(spec: SourceSpec) -> list[str]:
@@ -48,12 +32,8 @@ def _source_files(spec: SourceSpec) -> list[str]:
     return paths
 
 
-def read_documents(
-    spec: SourceSpec,
-    stats: Optional[IngestStats] = None,
-    on_drop: Optional[DropHook] = None,
-) -> Iterator[Document]:
-    """Yield valid documents from one source, counting malformed and empty lines."""
+def read_documents(spec: SourceSpec, on_drop: DropHook = _ignore_drop) -> Iterator[Document]:
+    """Yield valid documents from one source; each other line is a parse or empty drop."""
     lineno = 0
     for path in _source_files(spec):
         try:
@@ -65,8 +45,6 @@ def read_documents(
         with fh:
             for raw in fh:
                 lineno += 1
-                if stats is not None:
-                    stats.lines += 1
                 try:
                     rec = json.loads(raw)
                     if not isinstance(rec, dict):
@@ -76,16 +54,10 @@ def read_documents(
                         raise ValueError("text is not a string")
                     text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
                 except (KeyError, ValueError):
-                    if stats is not None:
-                        stats.dropped_parse += 1
-                    if on_drop is not None:
-                        on_drop(spec.source, f"{spec.source}:L{lineno}", "parse")
+                    on_drop(spec.source, f"{spec.source}:L{lineno}", "parse")
                     continue
                 if text == "":
-                    if stats is not None:
-                        stats.dropped_empty += 1
-                    if on_drop is not None:
-                        on_drop(spec.source, f"{spec.source}:L{lineno}", "empty")
+                    on_drop(spec.source, f"{spec.source}:L{lineno}", "empty")
                     continue
                 meta = rec.get("meta") if isinstance(rec.get("meta"), dict) else {}
                 if "id" in rec:
@@ -99,55 +71,40 @@ def read_documents(
                 )
 
 
-def _sampled_source(
-    spec: SourceSpec,
-    stats: Optional[IngestStats],
-    on_drop: Optional[DropHook],
-) -> Iterator[Document]:
+def _sampled_source(spec: SourceSpec, on_drop: DropHook) -> Iterator[Document]:
     """Stream one source with its quota applied.
 
     Quota selection is uniform without replacement and a pure function of
     weight_seed: a first pass counts valid documents, a second pass yields the
-    selected indices. Stats are only recorded on the yielding pass.
+    selected indices. Drops are reported only on the yielding pass.
     """
     if spec.quota is None:
-        yield from read_documents(spec, stats, on_drop)
+        yield from read_documents(spec, on_drop)
         return
     if spec.quota == 0:
         return
     total = sum(1 for _ in read_documents(spec))
     if total <= spec.quota:
-        yield from read_documents(spec, stats, on_drop)
+        yield from read_documents(spec, on_drop)
         return
     rng = random.Random(f"quota:{spec.weight_seed}:{spec.source}")
     chosen = set(rng.sample(range(total), spec.quota))
-    for idx, doc in enumerate(read_documents(spec, stats, on_drop)):
+    for idx, doc in enumerate(read_documents(spec, on_drop)):
         if idx in chosen:
             yield doc
         else:
-            if stats is not None:
-                stats.dropped_over_quota += 1
-            if on_drop is not None:
-                on_drop(spec.source, f"{spec.source}:q{idx}", "over_quota")
+            on_drop(spec.source, f"{spec.source}:q{idx}", "over_quota")
 
 
-def sample_mixture(
-    specs: Iterable[SourceSpec],
-    stats: Optional[dict[str, IngestStats]] = None,
-    on_drop: Optional[DropHook] = None,
-) -> Iterator[Document]:
+def sample_mixture(specs: Iterable[SourceSpec],
+                   on_drop: DropHook = _ignore_drop) -> Iterator[Document]:
     """Interleave quota-sampled sources round-robin until all are exhausted."""
     specs = list(specs)
     names = [s.source for s in specs]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate source names in mixture: {dupes}")
-    streams = []
-    for spec in specs:
-        per_source = None
-        if stats is not None:
-            per_source = stats.setdefault(spec.source, IngestStats())
-        streams.append(_sampled_source(spec, per_source, on_drop))
+    streams = [_sampled_source(spec, on_drop) for spec in specs]
     while streams:
         still_open = []
         for stream in streams:
@@ -159,11 +116,7 @@ def sample_mixture(
         streams = still_open
 
 
-def dedup(
-    docs: Iterable[Document],
-    stats: Optional[dict[str, IngestStats]] = None,
-    on_drop: Optional[DropHook] = None,
-) -> Iterator[Document]:
+def dedup(docs: Iterable[Document], on_drop: DropHook = _ignore_drop) -> Iterator[Document]:
     """Drop later copies of any already-seen text, compared after trimming outer whitespace."""
     seen: set[int] = set()  # 128-bit digests as ints: 48 B each against 81 B as hex
     dup_counter = 0
@@ -171,12 +124,21 @@ def dedup(
         key = int(content_hash(doc.text.strip()), 16)
         if key in seen:
             dup_counter += 1
-            if stats is not None:
-                stats.setdefault(doc.source, IngestStats()).dropped_dup += 1
-            if on_drop is not None:
-                on_drop(doc.source, f"{doc.source}:d{dup_counter}", "dup")
+            on_drop(doc.source, f"{doc.source}:d{dup_counter}", "dup")
             continue
         seen.add(key)
-        if stats is not None:
-            stats.setdefault(doc.source, IngestStats()).kept += 1
         yield doc
+
+
+def ingest_summary(counts: Counter, sources: Iterable[SourceSpec]) -> dict[str, dict[str, int]]:
+    """report.json's ingest block from (source, "kept" or drop reason) counts.
+
+    Every line read is kept or dropped once, so a source's lines are the sum.
+    Every configured source is listed, a quota-0 one with zeros.
+    """
+    summary = {}
+    for name in sorted(spec.source for spec in sources):
+        drops = {f"dropped_{r}": counts[name, r] for r in ("parse", "empty", "dup", "over_quota")}
+        kept = counts[name, "kept"]
+        summary[name] = {"lines": kept + sum(drops.values()), "kept": kept, **drops}
+    return summary

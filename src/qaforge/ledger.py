@@ -58,6 +58,18 @@ def _parse(raw: bytes) -> Optional[dict[str, Any]]:
     return None
 
 
+def _scan(path: str) -> Iterator[tuple[int, int, Optional[dict[str, Any]]]]:
+    """(offset, size, row or None) of each complete line, past its NULs, up to a torn tail."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            if not raw.endswith(b"\n"):
+                return  # torn tail line from a crash
+            skip = raw.rfind(b"\0") + 1  # past an unwritten reservation
+            yield offset + skip, len(raw) - skip, _parse(raw[skip:])
+            offset += len(raw)
+
+
 class RunLedger:
     def __init__(self, run_dir: str):
         self.run_dir = run_dir
@@ -84,19 +96,12 @@ class RunLedger:
 
     def _load(self, stage: str, path: str) -> None:
         rows, counts = self._rows[stage], self._counts[stage]
-        offset = 0
-        with open(path, "rb") as fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break  # torn tail line from a crash
-                skip = raw.rfind(b"\0") + 1  # past an unwritten reservation
-                entry = _parse(raw[skip:])
-                if entry is not None and entry["item_id"] not in rows:
-                    outcome = sys.intern(entry["outcome"])
-                    rows[entry["item_id"]] = (outcome, offset + skip, len(raw) - skip)
-                    counts[(outcome, entry.get("reason", ""))] += 1
-                offset += len(raw)
-        self._ends[stage] = offset
+        for offset, size, entry in _scan(path):
+            self._ends[stage] = offset + size
+            if entry is not None and entry["item_id"] not in rows:
+                outcome = sys.intern(entry["outcome"])
+                rows[entry["item_id"]] = (outcome, offset, size)
+                counts[(outcome, entry.get("reason", ""))] += 1
 
     def _file(self, stage: str) -> int:
         """The stage's write descriptor; the caller holds the lock."""
@@ -172,15 +177,10 @@ class RunLedger:
         rows = self._rows[stage]
         if not rows:
             return
-        offset = 0
-        with open(self._path(stage), "rb") as fh:
-            for raw in fh:
-                skip = raw.rfind(b"\0") + 1  # past an unwritten reservation, as in _load
-                start, offset = offset + skip, offset + len(raw)
-                entry = _parse(raw[skip:])
-                # Skips a later duplicate or a garbage line, as load did.
-                if entry is not None and rows.get(entry["item_id"], (None, -1))[1] == start:
-                    yield entry
+        for offset, _, entry in _scan(self._path(stage)):
+            # Skips a later duplicate or a garbage line, as load did.
+            if entry is not None and rows.get(entry["item_id"], (None, -1))[1] == offset:
+                yield entry
 
     def count(self, stage: str) -> int:
         return len(self._rows[stage])

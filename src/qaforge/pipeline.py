@@ -34,7 +34,7 @@ import math
 import os
 import statistics
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -60,7 +60,7 @@ from .errors import (
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
 from .gateway import Gateway, build_gateway
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
-from .ingest import IngestStats, dedup, sample_mixture
+from .ingest import dedup, ingest_summary, sample_mixture
 from .ledger import RunLedger, make_entry
 from .types import (
     BAD_LINE,
@@ -401,7 +401,6 @@ class RunReport:
     ingest: dict[str, dict[str, int]]
     dataset: dict[str, Any]
     gateway: dict[str, Any]
-    reasks: int = 0
     concurrency: int = 1
     pipeline_version: str = PIPELINE_VERSION
 
@@ -429,7 +428,7 @@ class RunReport:
         totals = self.gateway.get("totals", {})
         lines.append(
             f"gateway: {totals.get('requests', 0)} requests, {totals.get('retries', 0)} retries, "
-            f"{self.reasks} re-asks, {totals.get('failures', 0)} failures"
+            f"{totals.get('reasks', 0)} re-asks, {totals.get('failures', 0)} failures"
         )
         return lines
 
@@ -506,10 +505,11 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
     cfg, gw, ledger, eval_index = ctx.cfg, ctx.gateway, ctx.ledger, ctx.eval_index
     run_dir = cfg.run.run_dir
     writer = _DatasetWriter(cfg.run.out, resume=resume)
-    ingest_stats: dict[str, IngestStats] = {}
+    ingest_counts: Counter = Counter()  # (source, "kept" or drop reason), recounted each session
 
     def ingest_drop(source: str, key: str, reason: str) -> None:
         ctx.log("ingest", key, "drop", reason=reason)
+        ingest_counts[source, reason] += 1
 
     def pin_index() -> None:
         if not eval_index.done():
@@ -517,11 +517,7 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
                                                cfg.decontaminate.ngram, resume=False))
 
     try:
-        docs = dedup(
-            sample_mixture(cfg.sources, ingest_stats, ingest_drop),
-            ingest_stats,
-            ingest_drop,
-        )
+        docs = dedup(sample_mixture(cfg.sources, ingest_drop), ingest_drop)
         # Drain in submission order: output order never depends on which
         # thread finished first. Ingest waits on the oldest document once
         # 4x concurrency are pending, so memory does not grow with the corpus;
@@ -535,6 +531,7 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
             try:
                 for doc in docs:
                     ctx.log("ingest", doc.doc_id, "pass")
+                    ingest_counts[doc.source, "kept"] += 1
                     if not _needs_llm(ctx, doc):
                         continue
                     pending.append(pool.submit(_process_document, ctx, doc))
@@ -571,10 +568,9 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         funnel_consistent=not problems,
         funnel_problems=problems,
         reasons=reasons,
-        ingest={src: st.to_dict() for src, st in sorted(ingest_stats.items())},
+        ingest=ingest_summary(ingest_counts, cfg.sources),
         dataset=dataset_stats(cfg.run.out),
         gateway=gw.ledger.snapshot(cfg.gateway.pricing or None),
-        reasks=gw.reasks,
         concurrency=gw.concurrency,
     )
     with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:

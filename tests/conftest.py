@@ -55,12 +55,6 @@ def stage_requests(gateway, stage):
     return sum(stages.get(stage.value, {}).get("requests", 0) for stages in models.values())
 
 
-def conserved(stats):
-    """Whether an IngestStats accounts for every line: kept plus every drop bucket."""
-    counts = stats.to_dict()
-    return counts.pop("lines") == sum(counts.values())
-
-
 @pytest.fixture
 def gw_factory():
     """Build a mock-backed gateway whose backoff sleeps are no-ops."""

@@ -1,26 +1,33 @@
 """Corpus ingestion: parsing, quotas, interleave, dedup, conservation."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaforge.errors import ConfigError, IngestError
-from qaforge.ingest import IngestStats, dedup, read_documents, sample_mixture
+from qaforge.ingest import dedup, ingest_summary, read_documents, sample_mixture
 from qaforge.types import SourceSpec, content_hash, make_doc_id
 
-from conftest import conserved, write_jsonl
+from conftest import write_jsonl
+
+
+def recorder():
+    """A drop hook and the list of (source, key, reason) calls it records."""
+    drops = []
+    return drops, lambda source, key, reason: drops.append((source, key, reason))
 
 
 def test_three_valid_lines(tmp_path):
     path = tmp_path / "a.jsonl"
     write_jsonl(path, [{"text": "one"}, {"text": "two"}, {"text": "three"}])
-    stats = IngestStats()
-    docs = list(read_documents(SourceSpec("a", str(path)), stats))
+    drops, on_drop = recorder()
+    docs = list(read_documents(SourceSpec("a", str(path)), on_drop))
     assert [d.text for d in docs] == ["one", "two", "three"]
     assert all(d.source == "a" and d.doc_id for d in docs)
-    assert stats.lines == 3 and stats.dropped_parse == 0
+    assert drops == []
 
 
 def test_malformed_and_empty_lines_are_counted(tmp_path):
@@ -35,15 +42,11 @@ def test_malformed_and_empty_lines_are_counted(tmp_path):
         + json.dumps({"text": "good two"})
         + "\n"
     )
-    stats = IngestStats()
-    drops = []
-    docs = list(
-        read_documents(SourceSpec("a", str(path)), stats, lambda s, k, r: drops.append((k, r)))
-    )
+    drops, on_drop = recorder()
+    docs = list(read_documents(SourceSpec("a", str(path)), on_drop))
     assert [d.text for d in docs] == ["good one", "good two"]
-    assert stats.dropped_parse == 2 and stats.dropped_empty == 1
-    assert ("a:L2", "parse") in drops and ("a:L4", "empty") in drops
-    assert stats.lines == 5
+    assert drops == [("a", "a:L2", "parse"), ("a", "a:L3", "parse"), ("a", "a:L4", "empty")]
+    assert len(docs) + len(drops) == 5
 
 
 def test_lines_that_are_not_utf8_are_parse_drops(tmp_path):
@@ -56,22 +59,19 @@ def test_lines_that_are_not_utf8_are_parse_drops(tmp_path):
         b'\xfe\xfe\n'
         b'{"text": "good two"}\n'
     )
-    stats = IngestStats()
-    drops = []
-    docs = list(
-        read_documents(SourceSpec("a", str(path)), stats, lambda s, k, r: drops.append((k, r)))
-    )
+    drops, on_drop = recorder()
+    docs = list(read_documents(SourceSpec("a", str(path)), on_drop))
     assert [d.text for d in docs] == ["good one", "good two"]
-    assert drops == [("a:L2", "parse"), ("a:L3", "parse"), ("a:L4", "parse")]
-    assert stats.lines == 5 and stats.dropped_parse == 3
+    assert drops == [("a", "a:L2", "parse"), ("a", "a:L3", "parse"), ("a", "a:L4", "parse")]
+    assert len(docs) + len(drops) == 5
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "a.jsonl"
     path.write_text("")
-    stats = IngestStats()
-    assert list(read_documents(SourceSpec("a", str(path)), stats)) == []
-    assert stats.lines == 0
+    drops, on_drop = recorder()
+    assert list(read_documents(SourceSpec("a", str(path)), on_drop)) == []
+    assert drops == []
 
 
 def test_missing_file_raises(tmp_path):
@@ -124,12 +124,11 @@ def test_quota_zero_takes_none(tmp_path):
 def test_over_quota_drops_are_counted(tmp_path):
     path = tmp_path / "a.jsonl"
     write_jsonl(path, [{"text": f"doc {i}"} for i in range(20)])
-    stats: dict[str, IngestStats] = {}
-    docs = list(dedup(sample_mixture([SourceSpec("a", str(path), quota=7)], stats), stats))
-    st_a = stats["a"]
+    drops, on_drop = recorder()
+    docs = list(dedup(sample_mixture([SourceSpec("a", str(path), quota=7)], on_drop), on_drop))
     assert len(docs) == 7
-    assert st_a.dropped_over_quota == 13
-    assert conserved(st_a)
+    assert [(src, reason) for src, _, reason in drops] == [("a", "over_quota")] * 13
+    assert len(docs) + len(drops) == 20
 
 
 def test_round_robin_interleave(tmp_path):
@@ -150,28 +149,29 @@ def test_duplicate_source_names_rejected(tmp_path):
 def test_dedup_keeps_first_occurrence(tmp_path):
     path = tmp_path / "a.jsonl"
     write_jsonl(path, [{"text": "same body"}, {"text": "same body"}, {"text": "other"}])
-    stats: dict[str, IngestStats] = {}
-    docs = list(dedup(sample_mixture([SourceSpec("a", str(path))], stats), stats))
+    drops, on_drop = recorder()
+    docs = list(dedup(sample_mixture([SourceSpec("a", str(path))], on_drop), on_drop))
     assert [d.text for d in docs] == ["same body", "other"]
-    assert stats["a"].dropped_dup == 1 and stats["a"].kept == 2
+    assert drops == [("a", "a:d1", "dup")]
 
 
 def test_dedup_ignores_outer_whitespace(tmp_path):
     path = tmp_path / "a.jsonl"
     write_jsonl(path, [{"text": "body"}, {"text": "  body  "}])
-    stats: dict[str, IngestStats] = {}
-    docs = list(dedup(sample_mixture([SourceSpec("a", str(path))], stats), stats))
-    assert len(docs) == 1 and stats["a"].dropped_dup == 1
+    drops, on_drop = recorder()
+    docs = list(dedup(sample_mixture([SourceSpec("a", str(path))], on_drop), on_drop))
+    assert len(docs) == 1 and drops == [("a", "a:d1", "dup")]
 
 
 def test_dedup_across_sources(tmp_path):
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_jsonl(pa, [{"text": "shared"}])
     write_jsonl(pb, [{"text": "shared"}])
-    stats: dict[str, IngestStats] = {}
-    docs = list(dedup(sample_mixture([SourceSpec("a", str(pa)), SourceSpec("b", str(pb))], stats), stats))
+    drops, on_drop = recorder()
+    specs = [SourceSpec("a", str(pa)), SourceSpec("b", str(pb))]
+    docs = list(dedup(sample_mixture(specs, on_drop), on_drop))
     assert len(docs) == 1 and docs[0].source == "a"
-    assert stats["b"].dropped_dup == 1
+    assert drops == [("b", "b:d1", "dup")]
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,14 +180,34 @@ def test_dedup_across_sources(tmp_path):
     quota=st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
 )
 def test_conservation_property(tmp_path_factory, texts, quota):
-    """kept + every drop bucket always equals lines seen."""
+    """Every line read is kept or dropped exactly once."""
     tmp = tmp_path_factory.mktemp("cons")
     path = tmp / "src.jsonl"
     write_jsonl(path, [{"text": t} for t in texts])
-    stats: dict[str, IngestStats] = {}
-    list(dedup(sample_mixture([SourceSpec("s", str(path), quota=quota, weight_seed=1)], stats), stats))
+    drops, on_drop = recorder()
+    spec = SourceSpec("s", str(path), quota=quota, weight_seed=1)
+    docs = list(dedup(sample_mixture([spec], on_drop), on_drop))
     if quota == 0:
-        assert "s" not in stats or stats["s"].lines == 0
+        assert docs == [] and drops == []
     else:
-        assert conserved(stats["s"])
-        assert stats["s"].lines == len(texts)
+        assert len(texts) == len(docs) + len(drops)
+        assert len({key for _, key, _ in drops}) == len(drops)
+
+
+def test_ingest_summary_lists_every_configured_source(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_jsonl(path, [{"text": "x"}, {"text": ""}, {"text": "x"}])
+    specs = [SourceSpec("a", str(path)), SourceSpec("z", str(path), quota=0)]
+    counts = Counter()
+
+    def on_drop(source, key, reason):
+        counts[source, reason] += 1
+
+    for doc in dedup(sample_mixture(specs, on_drop), on_drop):
+        counts[doc.source, "kept"] += 1
+    zero = dict.fromkeys(("lines", "kept", "dropped_parse", "dropped_empty", "dropped_dup",
+                          "dropped_over_quota"), 0)
+    assert ingest_summary(counts, specs) == {
+        "a": dict(zero, lines=3, kept=1, dropped_empty=1, dropped_dup=1),
+        "z": zero,
+    }

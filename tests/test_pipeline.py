@@ -147,6 +147,15 @@ def test_unknown_source_key_rejected():
         {"decontaminate": {"ngram": "13"}},
         {"sources": [{"source": "a", "path": "p", "quota": "3"}]},
         {"sources": [{"source": "a", "path": "p", "weight_seed": False}]},
+        {"filter": {"model": 5}},
+        {"generate": {"sft_distill": "no"}},
+        {"reward": {"use_boxed": 1}},
+        {"run": {"out": None}},
+        {"decontaminate": {"eval_dir": 7}},
+        {"gateway": {"mock_script": ["mock.jsonl"]}},
+        {"sources": [{"source": 1, "path": "p"}]},
+        {"reward": {"marker_prefixes": "answer:"}},
+        {"reward": {"marker_prefixes": ["answer:", 3]}},
     ],
 )
 def test_bound_validation(data):
@@ -560,6 +569,73 @@ def test_run_survives_source_lines_that_are_not_utf8(tmp_path):
     assert report.ingest["mini"]["dropped_parse"] == 2
 
 
+def mixed_drop_config(tmp_path, concurrency):
+    """Two sources, "b" with a quota, and a line for every ingest drop reason."""
+    cfg_path, cfg_dict = mini_config(tmp_path, n_docs=0, concurrency=concurrency)
+    corpus_a, corpus_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    lines_a = [json.dumps({"text": prose(f"a{i}")}).encode() for i in range(3)] + [
+        b"{not json}",
+        b'{"text": "bad \xff byte"}',
+        b"",  # a blank line
+        json.dumps({"text": ""}).encode(),
+        json.dumps({"text": prose("a0")}).encode(),  # a duplicate within "a"
+    ]
+    corpus_a.write_bytes(b"\n".join(lines_a) + b"\n")
+    # The copy of a1 is a duplicate across sources; 7 valid lines, 3 of them over quota.
+    write_jsonl(corpus_b, [{"text": prose(f"b{i}")} for i in range(6)] + [{"text": prose("a1")}])
+    cfg_dict["sources"] = [{"source": "a", "path": str(corpus_a)},
+                           {"source": "b", "path": str(corpus_b), "quota": 4, "weight_seed": 4}]
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    return load_config(str(cfg_path))
+
+
+MIXED_DROP_INGEST = {
+    "a": {"lines": 8, "kept": 3, "dropped_parse": 3, "dropped_empty": 1, "dropped_dup": 1,
+          "dropped_over_quota": 0},
+    "b": {"lines": 7, "kept": 3, "dropped_parse": 0, "dropped_empty": 0, "dropped_dup": 1,
+          "dropped_over_quota": 3},
+}
+
+
+def assert_mixed_drop_report(report):
+    assert report.ingest == MIXED_DROP_INGEST
+    totals = {"pass": sum(row["kept"] for row in report.ingest.values())}
+    for reason in ("parse", "empty", "dup", "over_quota"):
+        totals[f"drop:{reason}"] = sum(row[f"dropped_{reason}"] for row in report.ingest.values())
+    assert report.reasons["ingest"] == totals
+    assert report.records_written == 6
+    assert report.funnel_consistent, report.funnel_problems
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_report_ingest_block_accounts_for_every_line(tmp_path, concurrency):
+    assert_mixed_drop_report(run_pipeline(mixed_drop_config(tmp_path, concurrency)))
+
+
+def test_report_ingest_block_is_whole_after_a_crash_and_resume(tmp_path):
+    cfg = mixed_drop_config(tmp_path, concurrency=2)
+
+    class Boom(BaseException):
+        pass
+
+    ingested = []
+
+    def crash_on_ninth_ingest_row(stage, item_id, outcome):
+        if stage == "ingest":
+            ingested.append(item_id)
+            if len(ingested) == 9:
+                raise Boom()
+
+    with pytest.raises(Boom):
+        run_pipeline(cfg, on_stage_logged=crash_on_ninth_ingest_row)
+    provider = MockProvider(default_script())
+    assert_mixed_drop_report(resume_run(str(tmp_path / "run"), gateway=Gateway(provider)))
+    before = provider.total_calls
+    # A resume of the finished run recounts the same block from the sources.
+    assert_mixed_drop_report(resume_run(str(tmp_path / "run"), gateway=Gateway(provider)))
+    assert provider.total_calls == before
+
+
 # ---------------------------------------------------------------- stats
 
 
@@ -661,7 +737,7 @@ def test_report_counts_every_reask_per_stage(tmp_path):
     assert report.reasons["distill"] == {"pass:explained": 3}
     noted = [r for r in provider.requests if any(n in r.user for n in CORRECTIVE_NOTES)]
     assert len(noted) == 3 * 2 + 3
-    assert report.reasks == len(noted)
+    assert "reasks" not in report.to_dict()
     per_stage = {}
     for stages in report.gateway["models"].values():
         for stage, cell in stages.items():
