@@ -40,6 +40,7 @@ class GatewayConfig:
     backoff_base: float = 1.0
     backoff_cap: float = 60.0
     max_reasks: int = 2
+    # {model: {"input_per_1m": USD, "output_per_1m": USD}}; a missing price is 0.
     pricing: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
@@ -117,6 +118,12 @@ def _fits(annotation: str, value: Any) -> bool:
         return value is None or _fits(annotation[len("Optional["):-1], value)
     if annotation == "list[str]":
         return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if annotation == "dict[str, dict[str, float]]":  # gateway.pricing
+        return isinstance(value, dict) and all(
+            isinstance(model, str) and isinstance(price, dict)
+            and set(price) <= {"input_per_1m", "output_per_1m"}
+            and all(_fits("float", v) for v in price.values())
+            for model, price in value.items())
     kinds = {"int": int, "float": (int, float), "bool": bool, "str": str}.get(annotation)
     return kinds is None or (isinstance(value, kinds)
                              and isinstance(value, bool) == (annotation == "bool"))
@@ -137,16 +144,9 @@ def _build(cls, data: Any, where: str):
     return cls(**data)
 
 
-_SECTIONS = {
-    "run": RunSettings,
-    "gateway": GatewayConfig,
-    "filter": FilterConfig,
-    "classify": ClassifyConfig,
-    "generate": GenerateConfig,
-    "verify": VerifyConfig,
-    "decontaminate": DecontamConfig,
-    "reward": RewardConfig,
-}
+# Every section but sources, each built from its own mapping.
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+             if f.name != "sources"}
 
 
 def config_from_dict(data: dict[str, Any]) -> PipelineConfig:

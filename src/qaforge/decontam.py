@@ -15,7 +15,6 @@ against the same grams as the run's first candidates.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import struct
@@ -28,6 +27,7 @@ from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigDriftError, IngestError
+from .types import text_records
 
 DEFAULT_NGRAM = 13
 
@@ -164,22 +164,12 @@ def check_eval_dir(eval_dir: str) -> None:
 
 
 def load_eval_dir(eval_dir: str) -> Iterator[str]:
-    """Yield eval texts from every .jsonl file under eval_dir (line format: {"text": ...})."""
+    """Yield the non-empty eval texts text_records finds in every .jsonl file under eval_dir."""
     for path in eval_paths(eval_dir):
-        # A line that is not UTF-8 is skipped like a line that is not JSON.
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for raw in fh:
-                if not raw.strip():
-                    continue
-                try:
-                    rec = json.loads(raw)
-                    text = rec.get("text") if isinstance(rec, dict) else None
-                    if isinstance(text, str):
-                        text.encode("utf-8")
-                except ValueError:
-                    continue
-                if isinstance(text, str) and text:
-                    yield text
+            for rec in text_records(fh):
+                if rec is not None and rec["text"]:
+                    yield rec["text"]
 
 
 def build_index_from_dir(eval_dir: str, n: int = DEFAULT_NGRAM) -> NGramIndex:

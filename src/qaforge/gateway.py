@@ -31,7 +31,7 @@ from .errors import (
     TransientProviderError,
     TransportError,
 )
-from .types import content_hash
+from .types import BAD_LINE, content_hash, json_object, line_fields
 
 
 class StageTag(str, Enum):
@@ -211,33 +211,28 @@ class MockScript:
     @classmethod
     def load(cls, path: str) -> "MockScript":
         script = cls()
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 if not raw.strip():
                     continue
                 try:
-                    rec = json.loads(raw)
+                    rec = line_fields(raw, {"stage_tag": None, "fingerprint": None, "response": None})
                     stage = StageTag(rec["stage_tag"])
-                    fingerprint = rec["fingerprint"]
-                    response = rec["response"]
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                except BAD_LINE as exc:
                     raise PermanentProviderError(f"{path}:{lineno}: bad mock script line: {exc}") from exc
-                if fingerprint == "default":
-                    script.set_default(stage, response)
+                if rec["fingerprint"] == "default":
+                    script.set_default(stage, rec["response"])
                 else:
-                    script.add(stage, fingerprint, response)
+                    script.add(stage, rec["fingerprint"], rec["response"])
         return script
 
     def save(self, path: str) -> None:
+        rows = [(stage, "default", response) for stage, response in sorted(self.defaults.items())]
+        rows += [(*key, response) for key, response in sorted(self.responses.items())]
         with open(path, "w", encoding="utf-8") as fh:
-            for stage, response in sorted(self.defaults.items()):
-                fh.write(json.dumps(
-                    {"stage_tag": stage, "fingerprint": "default", "response": response},
-                    ensure_ascii=False) + "\n")
-            for (stage, fingerprint), response in sorted(self.responses.items()):
-                fh.write(json.dumps(
-                    {"stage_tag": stage, "fingerprint": fingerprint, "response": response},
-                    ensure_ascii=False) + "\n")
+            for stage, fingerprint, response in rows:
+                fh.write(json.dumps({"stage_tag": stage, "fingerprint": fingerprint,
+                                     "response": response}, ensure_ascii=False) + "\n")
 
 
 class MockProvider:
@@ -308,16 +303,22 @@ class HTTPProvider:
         if resp.status_code >= 400:
             raise PermanentProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
         try:
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage", {})
-        except (ValueError, KeyError, IndexError) as exc:
+            body = json_object(resp.content)
+        except BAD_LINE as exc:
             raise TransientProviderError(f"malformed provider response: {exc}") from exc
-        return ChatResponse(
-            text=text,
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-        )
+        choices = body.get("choices")
+        first = choices[0] if isinstance(choices, list) and choices else None
+        message = first.get("message") if isinstance(first, dict) else None
+        if not isinstance(message, dict):
+            raise TransientProviderError("malformed provider response: no choices[0].message")
+        # Content that is not a string reads as "", which the parse re-asks
+        # handle; a token count that is not an int reads as 0.
+        text = message.get("content")
+        usage = body.get("usage") if isinstance(body.get("usage"), dict) else {}
+        tokens = [usage.get(name) for name in ("prompt_tokens", "completion_tokens")]
+        input_tokens, output_tokens = (n if type(n) is int else 0 for n in tokens)
+        return ChatResponse(text=text if isinstance(text, str) else "",
+                            input_tokens=input_tokens, output_tokens=output_tokens)
 
 
 # Tag lines look like "FIELD: value", optionally bold-wrapped by chatty models.

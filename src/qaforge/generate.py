@@ -8,7 +8,6 @@ model output exists, so a seed set ships inside the package.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import random
 from typing import Optional, Sequence
 
@@ -17,7 +16,16 @@ from .config import GenerateConfig
 from .decontam import normalize_text
 from .errors import ConfigError, RequestRejectedError, StructuredParseError
 from .gateway import ChatRequest, Gateway, StageTag, run_fingerprint
-from .types import CandidateQA, DemoExample, Document, Domain, Persona, content_hash
+from .types import (
+    BAD_LINE,
+    CandidateQA,
+    DemoExample,
+    Document,
+    Domain,
+    Persona,
+    content_hash,
+    line_fields,
+)
 
 
 class AnswerTooLongError(Exception):
@@ -50,29 +58,27 @@ class DemoLibrary:
     def load(cls, path: Optional[str] = None) -> "DemoLibrary":
         """Load demos from a JSONL file; with no path, load the packaged seed set."""
         if path is None:
-            resource = importlib.resources.files("qaforge").joinpath("data/demos.jsonl")
-            raw = resource.read_text(encoding="utf-8")
+            raw = importlib.resources.files("qaforge").joinpath("data/demos.jsonl").read_bytes()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 raw = fh.read()
         demos = []
         for lineno, line in enumerate(raw.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = line_fields(line, {"domain": None, "question": None, "answer": None,
+                                         "note": ""})
                 domain = Domain(rec["domain"])
-                question = rec["question"]
-                answer = rec["answer"]
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except BAD_LINE as exc:
                 raise ConfigError(f"demo library line {lineno}: {exc}") from exc
             demos.append(
                 DemoExample(
-                    demo_id=content_hash(rec["domain"], question)[:12],
+                    demo_id=content_hash(rec["domain"], rec["question"])[:12],
                     domain=domain,
-                    question=question,
-                    answer=answer,
-                    note=rec.get("note", ""),
+                    question=rec["question"],
+                    answer=rec["answer"],
+                    note=rec["note"],
                 )
             )
         return cls(demos)

@@ -9,13 +9,12 @@ counts, which is what makes resume and byte-stable datasets possible.
 from __future__ import annotations
 
 import glob
-import json
 import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigError, IngestError
-from .types import Document, SourceSpec, content_hash, make_doc_id
+from .types import Document, SourceSpec, content_hash, make_doc_id, text_records
 
 # on_drop(source, item_key, reason) lets the orchestrator ledger and count every loss.
 DropHook = Callable[[str, str, str], None]
@@ -37,28 +36,19 @@ def read_documents(spec: SourceSpec, on_drop: DropHook = _ignore_drop) -> Iterat
     lineno = 0
     for path in _source_files(spec):
         try:
-            # Bytes that are not UTF-8 decode to lone surrogates, so one bad
-            # line fails its own parse below instead of the whole file.
+            # Bytes that are not UTF-8 decode to lone surrogates, which
+            # text_records turns into a parse drop of that one line.
             fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise IngestError(f"source {spec.source!r}: cannot read {path}: {exc}") from exc
         with fh:
-            for raw in fh:
+            for rec in text_records(fh):
                 lineno += 1
-                try:
-                    rec = json.loads(raw)
-                    if not isinstance(rec, dict):
-                        raise ValueError("not an object")
-                    text = rec["text"]
-                    if not isinstance(text, str):
-                        raise ValueError("text is not a string")
-                    text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
-                except (KeyError, ValueError):
-                    on_drop(spec.source, f"{spec.source}:L{lineno}", "parse")
+                if rec is None or rec["text"] == "":
+                    reason = "parse" if rec is None else "empty"
+                    on_drop(spec.source, f"{spec.source}:L{lineno}", reason)
                     continue
-                if text == "":
-                    on_drop(spec.source, f"{spec.source}:L{lineno}", "empty")
-                    continue
+                text = rec["text"]
                 meta = rec.get("meta") if isinstance(rec.get("meta"), dict) else {}
                 if "id" in rec:
                     meta = dict(meta)

@@ -31,6 +31,8 @@ import threading
 from collections import Counter
 from typing import Any, Iterator, Optional
 
+from .types import BAD_LINE, json_object
+
 STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
 
 
@@ -49,11 +51,10 @@ def make_entry(item_id: str, outcome: str, reason: str = "", fingerprint: str = 
 def _parse(raw: bytes) -> Optional[dict[str, Any]]:
     """A ledger row from one complete line, or None for a line that is not one."""
     try:
-        entry = json.loads(raw.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError included
+        entry = json_object(raw.decode("utf-8"))
+    except BAD_LINE:  # UnicodeDecodeError included
         return None
-    if isinstance(entry, dict) and isinstance(entry.get("item_id"), str) \
-            and isinstance(entry.get("outcome"), str):
+    if isinstance(entry.get("item_id"), str) and isinstance(entry.get("outcome"), str):
         return entry
     return None
 

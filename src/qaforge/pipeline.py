@@ -135,8 +135,8 @@ class _DatasetWriter:
 
 def _record_id(line: bytes) -> Optional[str]:
     try:
-        return json.loads(line)["record_id"]
-    except (ValueError, KeyError, TypeError):
+        return line_fields(line, {"record_id": None})["record_id"]
+    except BAD_LINE:
         return None
 
 
@@ -471,14 +471,12 @@ def run_pipeline(
 ) -> RunReport:
     """Execute (or continue) a full run described by cfg, in the start order above.
 
-    The run dir's lock is held until the report is written.
+    resume=True is resume_run's, which has checked the config snapshot. The
+    run dir's lock is held until the report is written.
     """
     start = time.monotonic()
     run_dir = cfg.run.run_dir
     snapshot_path = os.path.join(run_dir, "config.json")
-    if resume and not os.path.exists(snapshot_path):
-        raise ConfigError(f"cannot resume: no config snapshot in {run_dir}")
-
     gw = gateway if gateway is not None else build_gateway(cfg.gateway)
     demos = DemoLibrary.load(cfg.generate.demo_path)
     dcfg = cfg.decontaminate

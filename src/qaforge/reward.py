@@ -230,9 +230,7 @@ def score_rollout_files(
             result = verifier.score(
                 RewardRequest(question=question, gold_answer=answer, rollout=roll["rollout"])
             )
-            out_fh.write(json.dumps({"record_id": record_id, "reward": result.reward,
-                                     "method": result.method,
-                                     "extracted_answer": result.extracted_answer}) + "\n")
+            out_fh.write(json.dumps({"record_id": record_id, **vars(result)}) + "\n")
             scored += 1
     return {"scored": scored, "unmatched": unmatched, "malformed": malformed}
 
@@ -259,16 +257,7 @@ def serve_stdin(verifier: RewardVerifier, in_fh: IO[str] = sys.stdin, out_fh: IO
         result = verifier.score(request)
         # ASCII-escaped, so a lone surrogate escape echoed from the request
         # cannot fail to encode on a UTF-8 stdout.
-        out_fh.write(
-            json.dumps(
-                {
-                    "reward": result.reward,
-                    "method": result.method,
-                    "extracted_answer": result.extracted_answer,
-                }
-            )
-            + "\n"
-        )
+        out_fh.write(json.dumps(vars(result)) + "\n")
         out_fh.flush()
         served += 1
     return served

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 PIPELINE_VERSION = "0.1.0"
 
@@ -149,22 +149,45 @@ def make_record_id(doc_id: str, persona_rank: int, question: str) -> str:
     return content_hash(doc_id, str(persona_rank), question)
 
 
-# What line_fields raises on a line it cannot use.
+# What json_object, and so line_fields, raises on a line it cannot use.
 BAD_LINE = (ValueError, RecursionError)
+
+
+def json_object(raw: str | bytes) -> dict[str, Any]:
+    """The JSON object on one input line: the one line-parse rule in qaforge.
+
+    Every reader of source, eval, dataset, rollout, ledger, mock-script and
+    demo lines, and of a provider's reply body, parses here and catches
+    BAD_LINE: ValueError (not JSON, not UTF-8, not an object) or RecursionError.
+    """
+    obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def line_fields(raw: str | bytes, defaults: dict[str, Optional[str]]) -> dict[str, str]:
     """The named string fields of one JSON-object line; a None default marks a required one.
 
-    Every reader of dataset and reward lines validates with this. Raises
-    ValueError saying what is wrong (bytes that are not UTF-8 included), or
-    RecursionError from json.loads.
+    Raises BAD_LINE, with a ValueError saying what is wrong.
     """
-    obj = json.loads(raw)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    obj = json_object(raw)
     fields = {name: obj.get(name, default) for name, default in defaults.items()}
     bad = [name for name, value in fields.items() if not isinstance(value, str)]
     if bad:
         raise ValueError(f"missing or not a string: {', '.join(bad)}")
     return fields
+
+
+def text_records(lines: Iterable[str]) -> Iterator[Optional[dict[str, Any]]]:
+    """Per corpus line, its record if "text" is a string that encodes as UTF-8, else None."""
+    for raw in lines:
+        rec = None
+        try:
+            obj = json_object(raw)
+            if isinstance(obj.get("text"), str):
+                obj["text"].encode("utf-8")  # UnicodeEncodeError on a lone surrogate
+                rec = obj
+        except BAD_LINE:
+            pass
+        yield rec

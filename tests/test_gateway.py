@@ -1,15 +1,19 @@
 """Gateway behavior: routing, retries, rate limits, parsing, accounting."""
 
+import json
+import os
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaforge.errors import (
+    GatewayError,
     PermanentProviderError,
     RequestRejectedError,
     StructuredParseError,
@@ -483,15 +487,12 @@ def test_check_reasks_the_original_request_once(gw_factory):
 
 
 class FakeHTTPResponse:
+    """A requests.Response stand-in: content holds body as JSON, or text's bytes if body is None."""
+
     def __init__(self, status_code, body=None, text=""):
         self.status_code = status_code
-        self._body = body
+        self.content = (text if body is None else json.dumps(body)).encode("utf-8")
         self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("not json")
-        return self._body
 
 
 def test_http_provider_success(monkeypatch):
@@ -564,3 +565,87 @@ def test_http_provider_connection_error_is_transient(monkeypatch):
     monkeypatch.setattr("requests.post", boom)
     with pytest.raises(TransientProviderError):
         HTTPProvider("http://llm.internal/v1").send(make_req())
+
+
+def send_body(content):
+    """HTTPProvider.send's result for an HTTP 200 reply whose body is content."""
+    from qaforge.gateway import HTTPProvider
+
+    reply = FakeHTTPResponse(200)
+    reply.content = content
+    with mock.patch("requests.post", lambda *a, **k: reply), \
+            mock.patch.dict(os.environ, {"OPENAI_API_KEY": "sk-test"}):
+        return HTTPProvider("http://llm.internal/v1").send(make_req())
+
+
+REPLY = {"choices": [{"message": {"content": "ANSWER: 4"}}],
+         "usage": {"prompt_tokens": 11, "completion_tokens": 7}}
+
+
+@pytest.mark.parametrize("body, want", [
+    (REPLY, ("ANSWER: 4", 11, 7)),
+    ({**REPLY, "choices": [{"message": {"content": None}}]}, ("", 11, 7)),
+    ({**REPLY, "choices": [{"message": {"tool_calls": []}}]}, ("", 11, 7)),
+    ({**REPLY, "usage": None}, ("ANSWER: 4", 0, 0)),
+    ({**REPLY, "usage": {"prompt_tokens": "many", "completion_tokens": 7.0}}, ("ANSWER: 4", 0, 0)),
+    ([REPLY], TransientProviderError),
+    ({"usage": REPLY["usage"]}, TransientProviderError),
+    ({"choices": []}, TransientProviderError),
+    ({"choices": ["ANSWER: 4"]}, TransientProviderError),
+    ({"choices": [{"message": "ANSWER: 4"}]}, TransientProviderError),
+])
+def test_http_provider_maps_each_reply_body_to_one_outcome(body, want):
+    content = json.dumps(body).encode("utf-8")
+    if isinstance(want, tuple):
+        resp = send_body(content)
+        assert (resp.text, resp.input_tokens, resp.output_tokens) == want
+    else:
+        with pytest.raises(want):
+            send_body(content)
+
+
+def test_http_provider_reply_without_content_is_a_parse_failure():
+    from qaforge.gateway import HTTPProvider
+
+    reply = FakeHTTPResponse(200, body={"choices": [{"message": {"content": None}}]})
+    gw = Gateway(HTTPProvider("http://llm.internal/v1"), max_reasks=2, sleep=lambda s: None)
+    with mock.patch("requests.post", lambda *a, **k: reply), \
+            mock.patch.dict(os.environ, {"OPENAI_API_KEY": "sk-test"}):
+        with pytest.raises(StructuredParseError):
+            gw.complete_structured(make_req(), ["ANSWER"])
+    assert gw.ledger.snapshot()["totals"]["requests"] == 3
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def maybe(shape):
+    return shape | json_values
+
+
+# Bodies shaped like a reply at every level, with arbitrary JSON anywhere in them.
+reply_like = st.fixed_dictionaries({}, optional={
+    "choices": maybe(st.lists(maybe(st.fixed_dictionaries({}, optional={
+        "message": maybe(st.fixed_dictionaries({}, optional={"content": json_values})),
+    })), max_size=2)),
+    "usage": maybe(st.fixed_dictionaries({}, optional={
+        "prompt_tokens": json_values, "completion_tokens": json_values,
+    })),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of((json_values | reply_like).map(lambda body: json.dumps(body).encode("utf-8")),
+                 st.binary(max_size=32)))
+def test_http_provider_send_returns_a_reply_or_raises_a_gateway_error(content):
+    try:
+        resp = send_body(content)
+    except GatewayError:
+        return
+    assert isinstance(resp.text, str)
+    assert type(resp.input_tokens) is int and type(resp.output_tokens) is int

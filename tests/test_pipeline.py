@@ -34,6 +34,7 @@ from qaforge.gateway import (
     ChatRequest,
     ChatResponse,
     Gateway,
+    HTTPProvider,
     MockProvider,
     MockScript,
     StageTag,
@@ -52,7 +53,7 @@ from qaforge.pipeline import (
 from qaforge.types import Document
 
 from conftest import read_jsonl, write_jsonl
-from test_gateway import FakeClock, FlakyProvider
+from test_gateway import FakeClock, FakeHTTPResponse, FlakyProvider
 
 
 def prose(tag, n_chars=400):
@@ -156,11 +157,23 @@ def test_unknown_source_key_rejected():
         {"sources": [{"source": 1, "path": "p"}]},
         {"reward": {"marker_prefixes": "answer:"}},
         {"reward": {"marker_prefixes": ["answer:", 3]}},
+        {"gateway": {"pricing": {"m": {"input_per_1m": "2.0"}}}},
+        {"gateway": {"pricing": {"m": {"output_per_1m": True}}}},
+        {"gateway": {"pricing": {"m": {"input_per_1M": 2.0}}}},
+        {"gateway": {"pricing": {"m": None}}},
+        {"gateway": {"pricing": {"m": 2.0}}},
+        {"gateway": {"pricing": {1: {"input_per_1m": 2.0}}}},
+        {"gateway": {"pricing": [{"input_per_1m": 2.0}]}},
     ],
 )
 def test_bound_validation(data):
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+def test_pricing_takes_a_number_per_known_key():
+    pricing = {"m1": {"input_per_1m": 2, "output_per_1m": 8.5}, "m2": {"output_per_1m": 1.0}, "m3": {}}
+    assert config_from_dict({"gateway": {"pricing": pricing}}).gateway.pricing == pricing
 
 
 @pytest.mark.parametrize(
@@ -745,6 +758,20 @@ def test_report_counts_every_reask_per_stage(tmp_path):
     assert per_stage == {"filter": 0, "classify": 0, "generate": 6, "verify": 0, "distill": 3}
     assert report.gateway["totals"]["reasks"] == len(noted)
     assert "9 re-asks" in "\n".join(report.summary_lines())
+
+
+def test_a_reply_without_content_is_a_ledgered_parse_drop(tmp_path, monkeypatch):
+    """An HTTP 200 reply whose content is null, as for a refusal, drops its document."""
+    cfg_path, _ = mini_config(tmp_path, n_docs=2)
+    reply = FakeHTTPResponse(200, body={"choices": [{"message": {"content": None}}], "usage": None})
+    monkeypatch.setattr("requests.post", lambda *a, **k: reply)
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+    gw = Gateway(HTTPProvider("http://llm.internal/v1"), max_reasks=2, sleep=lambda _s: None)
+    report = run_pipeline(load_config(str(cfg_path)), gateway=gw)
+    assert report.reasons["filter"] == {"drop:parse": 2}
+    assert report.records_written == 0 and report.funnel_consistent
+    totals = report.gateway["totals"]
+    assert (totals["requests"], totals["reasks"], totals["input_tokens"]) == (6, 4, 0)
 
 
 def test_fresh_run_refuses_used_run_dir(tmp_path):

@@ -362,7 +362,8 @@ def test_score_rollout_files(tmp_path):
     assert summary == {"scored": 2, "unmatched": 1, "malformed": 0}
     lines = [json.loads(l) for l in out.getvalue().splitlines()]
     assert [l["reward"] for l in lines] == [1, 0]
-    assert lines[0]["record_id"] == "r1"
+    assert out.getvalue().splitlines()[0] == \
+        '{"record_id": "r1", "reward": 1, "method": "exact", "extracted_answer": "7"}'
 
 
 def test_score_rollout_files_counts_malformed_lines(tmp_path):
@@ -396,6 +397,7 @@ def test_serve_stdin_line_protocol():
     assert served == 2
     assert lines[0]["reward"] == 1 and lines[1]["reward"] == 0
     assert "error" in lines[2]
+    assert out_fh.getvalue().splitlines()[0] == '{"reward": 1, "method": "exact", "extracted_answer": "7"}'
 
 
 # Lone surrogates are valid JSON string escapes but cannot be encoded to UTF-8.
