@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -138,6 +139,10 @@ def _build(cls, data: Any, where: str):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in data
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {missing}")
     for f in dataclasses.fields(cls):
         if f.name in data and not _fits(f.type, data[f.name]):
             raise ConfigError(f"{where}.{f.name} must be {f.type}, got {data[f.name]!r}")
@@ -167,9 +172,11 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     dupes = sorted({n for n in names if names.count(n) > 1})
     gw = cfg.gateway
     rate = (gw.rate_capacity, gw.rate_refill_per_s)
+    prices = [v for price in gw.pricing.values() for v in price.values()]
     # Written as "ok" conditions, so a NaN fails them.
     checks = [
         (not dupes, f"duplicate source names: {dupes}"),
+        (all(s.quota is None or s.quota >= 0 for s in sources), "sources[].quota must be >= 0"),
         (gw.concurrency >= 1, "gateway.concurrency must be >= 1"),
         (gw.max_attempts >= 1, "gateway.max_attempts must be >= 1"),
         (gw.max_reasks >= 0, "gateway.max_reasks must be >= 0"),
@@ -177,6 +184,7 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
          "gateway.backoff_base and gateway.backoff_cap must be >= 0"),
         (rate == (0, 0) or (rate[0] >= 1 and rate[1] > 0),
          "gateway.rate_capacity must be >= 1 with rate_refill_per_s > 0, or both 0 (off)"),
+        (all(0 <= v < math.inf for v in prices), "gateway.pricing prices must be finite and >= 0"),
         (cfg.classify.max_personas >= 1, "classify.max_personas must be >= 1"),
         (cfg.generate.answer_max_chars >= 1, "generate.answer_max_chars must be >= 1"),
         (cfg.decontaminate.ngram >= 1, "decontaminate.ngram must be >= 1"),

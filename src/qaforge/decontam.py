@@ -157,12 +157,6 @@ def eval_paths(eval_dir: str) -> list[str]:
     )
 
 
-def check_eval_dir(eval_dir: str) -> None:
-    """Fail now, as load_eval_dir would later, if eval_dir is missing or a file will not open."""
-    for path in eval_paths(eval_dir):
-        open(path, "rb").close()
-
-
 def load_eval_dir(eval_dir: str) -> Iterator[str]:
     """Yield the non-empty eval texts text_records finds in every .jsonl file under eval_dir."""
     for path in eval_paths(eval_dir):
@@ -223,12 +217,12 @@ def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramI
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
     A new run builds it from eval_dir and writes the file with os.replace.
-    run_pipeline calls this once its first documents are in flight, and checks
-    eval_dir with check_eval_dir before it creates the run dir, so a bad
-    eval_dir leaves nothing behind. A resume loads the file before any
-    provider call, so it screens against the same grams even if eval_dir has
-    changed since; a run dir without the file (from before pinning, or from a
-    run that stopped before its index was built) gets one now.
+    run_pipeline calls this once its first documents are in flight, and opens
+    every eval file before it creates the run dir, so a bad eval_dir leaves
+    nothing behind. A resume loads the file before any provider call, so it
+    screens against the same grams even if eval_dir has changed since; a run
+    dir without the file (from before pinning, or from a run that stopped
+    before its index was built) gets one now.
     """
     path = os.path.join(run_dir, INDEX_FILE)
     if resume and os.path.exists(path):

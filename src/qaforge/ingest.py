@@ -1,7 +1,7 @@
 """Streaming corpus ingestion: JSONL sources, quota sampling, interleave, dedup.
 
-Sources are line-delimited JSON files with a required "text" field and optional
-"id" and "meta" fields. Ingestion is fully deterministic: for fixed files,
+Sources are line-delimited JSON files with a required "text" field; other
+fields are ignored. Ingestion is fully deterministic: for fixed files,
 quotas, and seeds, the output stream is identical across runs and worker
 counts, which is what makes resume and byte-stable datasets possible.
 """
@@ -49,16 +49,7 @@ def read_documents(spec: SourceSpec, on_drop: DropHook = _ignore_drop) -> Iterat
                     on_drop(spec.source, f"{spec.source}:L{lineno}", reason)
                     continue
                 text = rec["text"]
-                meta = rec.get("meta") if isinstance(rec.get("meta"), dict) else {}
-                if "id" in rec:
-                    meta = dict(meta)
-                    meta["id"] = rec["id"]
-                yield Document(
-                    doc_id=make_doc_id(spec.source, text),
-                    source=spec.source,
-                    text=text,
-                    meta=meta,
-                )
+                yield Document(doc_id=make_doc_id(spec.source, text), source=spec.source, text=text)
 
 
 def _sampled_source(spec: SourceSpec, on_drop: DropHook) -> Iterator[Document]:

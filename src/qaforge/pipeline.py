@@ -10,14 +10,15 @@ Only documents that need the model cross to the thread pool: the heuristic
 filter runs on the ingest thread, where its rejects are logged and skipped.
 
 A run starts in a fixed order. Every config and path check, including that
-the eval dir exists and each of its files opens, runs before the run directory
-is written. Then the run takes an exclusive flock on <run_dir>/run.lock, so one
-process at a time drives a run dir; a second run or resume fails at once. A
-fresh run then writes config.json and starts the pool. Its eval index is built
-on the ingest thread when the window of documents in flight is full or the
-sources are exhausted, so the first provider calls do not wait for the build;
-workers wait for the pinned index before they screen. A resume loads the
-pinned index before any provider call.
+each source file opens and that the eval dir exists and each of its files
+opens, runs before the run directory is written. Then the run takes an
+exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
+dir; a second run or resume fails at once. A fresh run then writes
+config.json and starts the pool. Its eval index is built on the ingest thread
+when the window of documents in flight is full or the sources are exhausted,
+so the first provider calls do not wait for the build; workers wait for the
+pinned index before they screen. A resume loads the pinned index before any
+provider call.
 
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import logging
 import math
 import os
 import statistics
@@ -49,7 +49,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .decontam import NGramIndex, check_eval_dir, is_contaminated, pinned_index
+from .decontam import NGramIndex, eval_paths, is_contaminated, pinned_index
 from .errors import (
     ConfigDriftError,
     ConfigError,
@@ -60,7 +60,7 @@ from .errors import (
 from .filtering import heuristic_filter, llm_filter, truncate_for_llm
 from .gateway import Gateway, build_gateway
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
-from .ingest import dedup, ingest_summary, sample_mixture
+from .ingest import _source_files, dedup, ingest_summary, sample_mixture
 from .ledger import RunLedger, make_entry
 from .types import (
     BAD_LINE,
@@ -73,8 +73,6 @@ from .types import (
     make_record_id,
 )
 from .verify import verify_qa
-
-log = logging.getLogger("qaforge")
 
 # Called after every fresh ledger append: (stage, item_id, outcome). Used for
 # progress reporting; tests also use it to inject crashes at stage boundaries.
@@ -480,8 +478,11 @@ def run_pipeline(
     gw = gateway if gateway is not None else build_gateway(cfg.gateway)
     demos = DemoLibrary.load(cfg.generate.demo_path)
     dcfg = cfg.decontaminate
-    if dcfg.eval_dir and not resume:
-        check_eval_dir(dcfg.eval_dir)
+    if not resume:
+        # Fail now, as ingest and the index build would later, on a file that will not open.
+        paths = [path for spec in cfg.sources for path in _source_files(spec)]
+        for path in paths + (eval_paths(dcfg.eval_dir) if dcfg.eval_dir else []):
+            open(path, "rb").close()
     os.makedirs(run_dir, exist_ok=True)
     with _run_dir_lock(run_dir):
         if not resume and os.path.exists(snapshot_path):
@@ -574,8 +575,6 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
     with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for line in report.summary_lines():
-        log.info(line)
     return report
 
 

@@ -136,41 +136,6 @@ def normalize_answer(text: str) -> str:
     return " ".join(_canon_number(tok) for tok in out.split(" ") if tok)
 
 
-def exact_reward(req: RewardRequest, cfg: Optional[RewardConfig] = None) -> RewardResult:
-    extracted = extract_final_answer(req.rollout, cfg)
-    hit = normalize_answer(extracted) == normalize_answer(req.gold_answer) and req.gold_answer.strip() != ""
-    return RewardResult(reward=1 if hit else 0, method="exact", extracted_answer=extracted)
-
-
-def judge_reward(
-    req: RewardRequest,
-    gateway: Gateway,
-    cfg: Optional[RewardConfig] = None,
-    counters: Optional[RewardCounters] = None,
-) -> RewardResult:
-    """Semantic-equivalence fallback. Fail-closed: any failure scores 0."""
-    from . import prompts
-    from .gateway import StageTag, parse_yes_no
-    cfg = cfg or RewardConfig()
-    extracted = extract_final_answer(req.rollout, cfg)
-    user = prompts.JUDGE_TEMPLATE.format(question=req.question, gold=req.gold_answer,
-                                         candidate=extracted)
-    chat = prompts.stage_request(StageTag.JUDGE, user, cfg.judge_model, cfg.judge_temperature,
-                                 max_output_tokens=64)
-    if counters is not None:
-        counters.judge_calls += 1
-    try:
-        fields = gateway.complete_structured(chat, ["MATCH"])
-        match = parse_yes_no(fields["MATCH"])
-        if match is None:
-            raise GatewayError(f"unparseable MATCH value: {fields['MATCH']!r}")
-    except GatewayError:
-        if counters is not None:
-            counters.judge_failures += 1
-        return RewardResult(reward=0, method="judge", extracted_answer=extracted)
-    return RewardResult(reward=1 if match else 0, method="judge", extracted_answer=extracted)
-
-
 @dataclass
 class RewardVerifier:
     """Exact-first scorer with optional judge escalation."""
@@ -180,13 +145,32 @@ class RewardVerifier:
     counters: RewardCounters = field(default_factory=RewardCounters)
 
     def score(self, req: RewardRequest) -> RewardResult:
-        result = exact_reward(req, self.cfg)
-        if result.reward == 1:
+        """1 on a normalized exact match with a non-blank gold answer.
+
+        On a miss, and only when cfg.judge is on and a gateway is set, the
+        judge rules on the answer already extracted. Fail-closed: a judge
+        failure or a MATCH that is neither yes nor no scores 0.
+        """
+        extracted = extract_final_answer(req.rollout, self.cfg)
+        if req.gold_answer.strip() and normalize_answer(extracted) == normalize_answer(req.gold_answer):
             self.counters.exact_hits += 1
-            return result
-        if self.cfg.judge and self.gateway is not None:
-            return judge_reward(req, self.gateway, self.cfg, self.counters)
-        return result
+            return RewardResult(reward=1, method="exact", extracted_answer=extracted)
+        if not (self.cfg.judge and self.gateway is not None):
+            return RewardResult(reward=0, method="exact", extracted_answer=extracted)
+        from . import prompts
+        from .gateway import StageTag, parse_yes_no
+        user = prompts.JUDGE_TEMPLATE.format(question=req.question, gold=req.gold_answer,
+                                             candidate=extracted)
+        chat = prompts.stage_request(StageTag.JUDGE, user, self.cfg.judge_model,
+                                     self.cfg.judge_temperature, max_output_tokens=64)
+        self.counters.judge_calls += 1
+        try:
+            match = parse_yes_no(self.gateway.complete_structured(chat, ["MATCH"])["MATCH"])
+        except GatewayError:
+            match = None
+        if match is None:
+            self.counters.judge_failures += 1
+        return RewardResult(reward=1 if match else 0, method="judge", extracted_answer=extracted)
 
 
 def score_rollout_files(

@@ -81,7 +81,6 @@ class Document:
     doc_id: str
     source: str
     text: str
-    meta: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass

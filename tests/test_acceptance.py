@@ -45,7 +45,7 @@ from qaforge.generate import DemoLibrary, build_generate_request
 from qaforge.ingest import dedup, sample_mixture
 from qaforge.ledger import RunLedger
 from qaforge.pipeline import resume_run, run_pipeline
-from qaforge.reward import RewardRequest, RewardVerifier, exact_reward
+from qaforge.reward import RewardRequest, RewardVerifier
 from qaforge.types import CandidateQA, Domain, Persona, SourceSpec, make_record_id
 from qaforge.verify import build_verify_request
 
@@ -281,7 +281,7 @@ def test_c4_reward_scoring_table_and_judge_escalation():
     """Frozen scoring table is exact; the judge only runs on exact misses."""
     assert len(SCORE_TABLE) >= 30
     for gold, rollout, want in SCORE_TABLE:
-        result = exact_reward(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
+        result = RewardVerifier().score(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
         assert result.reward == want, (gold, rollout)
         assert result.method == "exact"
 

@@ -22,7 +22,7 @@ CFG = FilterConfig()
 
 
 def make_doc(text, source="t"):
-    return Document(doc_id=make_doc_id(source, text), source=source, text=text, meta={})
+    return Document(doc_id=make_doc_id(source, text), source=source, text=text)
 
 
 def make_prose(n_chars):

@@ -19,7 +19,7 @@ from qaforge.types import CandidateQA, DemoExample, Document, Domain, Persona, m
 from conftest import SequenceProvider, write_jsonl
 
 CFG = GenerateConfig()
-DOC = Document(doc_id=make_doc_id("t", "body"), source="t", text="body", meta={})
+DOC = Document(doc_id=make_doc_id("t", "body"), source="t", text="body")
 PERSONA = Persona(label="chemist", rank=1)
 
 

@@ -18,7 +18,7 @@ from qaforge.config import ClassifyConfig, FilterConfig, GenerateConfig, RewardC
 from qaforge.filtering import build_filter_request
 from qaforge.gateway import ChatResponse, Gateway, StageTag, run_fingerprint
 from qaforge.generate import build_distill_request, build_generate_request, distill_cot, generate_qa
-from qaforge.reward import RewardRequest, judge_reward
+from qaforge.reward import RewardRequest, RewardVerifier
 from qaforge.types import CandidateQA, DemoExample, Document, Domain, Persona
 from qaforge.verify import build_verify_request
 
@@ -55,7 +55,7 @@ def judge_request():
     gateway = RecordingGateway()
     req = RewardRequest(question=QA.question, gold_answer=QA.answer,
                         rollout="The channel is deep.\nAnswer: fourteen meters")
-    result = judge_reward(req, gateway, RewardConfig(judge=True))
+    result = RewardVerifier(cfg=RewardConfig(judge=True), gateway=gateway).score(req)
     assert result.reward == 1 and result.method == "judge"
     assert len(gateway.requests) == 1
     return gateway.requests[0]

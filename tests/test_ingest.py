@@ -79,13 +79,6 @@ def test_missing_file_raises(tmp_path):
         list(read_documents(SourceSpec("a", str(tmp_path / "nope.jsonl"))))
 
 
-def test_meta_and_id_passthrough(tmp_path):
-    path = tmp_path / "a.jsonl"
-    write_jsonl(path, [{"text": "t", "id": "orig-7", "meta": {"url": "http://x"}}])
-    (doc,) = read_documents(SourceSpec("a", str(path)))
-    assert doc.meta == {"url": "http://x", "id": "orig-7"}
-
-
 def test_doc_id_stability_and_whitespace_insensitivity():
     assert make_doc_id("s", "text body") == make_doc_id("s", "  text body  \n")
     assert make_doc_id("s", "text body") != make_doc_id("other", "text body")

@@ -164,6 +164,13 @@ def test_unknown_source_key_rejected():
         {"gateway": {"pricing": {"m": 2.0}}},
         {"gateway": {"pricing": {1: {"input_per_1m": 2.0}}}},
         {"gateway": {"pricing": [{"input_per_1m": 2.0}]}},
+        {"gateway": {"pricing": {"m": {"input_per_1m": float("nan")}}}},
+        {"gateway": {"pricing": {"m": {"output_per_1m": float("inf")}}}},
+        {"gateway": {"pricing": {"m": {"input_per_1m": -1}}}},
+        {"sources": [{"source": "a"}]},
+        {"sources": [{"path": "p"}]},
+        {"sources": [None]},
+        {"sources": [{"source": "a", "path": "p", "quota": -1}]},
     ],
 )
 def test_bound_validation(data):
@@ -182,21 +189,23 @@ def test_pricing_takes_a_number_per_known_key():
         ("decontaminate", "eval_dir", "evals-typo"),
         ("gateway", "mock_script", "mock-typo.jsonl"),
         ("generate", "demo_path", "demos-typo.jsonl"),
+        ("sources", "path", "corpus-typo.jsonl"),
     ],
 )
 def test_a_bad_path_writes_nothing_to_the_run_dir(tmp_path, capsys, section, key, bad):
     cfg_path, cfg_dict = mini_config(tmp_path)
-    good = cfg_dict.setdefault(section, {}).get(key)
-    cfg_dict[section][key] = str(tmp_path / bad)
+    where = cfg_dict["sources"][0] if section == "sources" else cfg_dict.setdefault(section, {})
+    good = where.get(key)
+    where[key] = str(tmp_path / bad)
     cfg_path.write_text(yaml.safe_dump(cfg_dict))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     # Once the path is fixed, the same run dir takes a fresh run.
     if good is None:
-        del cfg_dict[section][key]
+        del where[key]
     else:
-        cfg_dict[section][key] = good
+        where[key] = good
     cfg_path.write_text(yaml.safe_dump(cfg_dict))
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
 
@@ -978,7 +987,7 @@ def test_heuristic_rejects_are_decided_on_the_ingest_thread(tmp_path):
     assert {logged_by[("filter", e["item_id"])] for e in heuristic} == {caller}
     assert all(t != caller for (stage, _), t in logged_by.items() if stage == "classify")
     # The model sees exactly the heuristic passes.
-    passes = sum(heuristic_filter(Document(doc_id=str(i), source="mini", text=t, meta={}),
+    passes = sum(heuristic_filter(Document(doc_id=str(i), source="mini", text=t),
                                   cfg.filter).qualified for i, t in enumerate(texts))
     assert gw.provider.calls["filter"] == passes == 5
     assert report.records_written == 5

@@ -16,9 +16,7 @@ from qaforge.reward import (
     RewardRequest,
     RewardVerifier,
     _find_boxed,
-    exact_reward,
     extract_final_answer,
-    judge_reward,
     normalize_answer,
     score_rollout_files,
     serve_stdin,
@@ -69,7 +67,7 @@ SCORE_TABLE = [
 
 @pytest.mark.parametrize("gold,rollout,expected", SCORE_TABLE)
 def test_exact_reward_table(gold, rollout, expected):
-    result = exact_reward(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
+    result = RewardVerifier().score(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
     assert result.reward == expected
     assert result.method == "exact"
 
@@ -214,7 +212,7 @@ _MB = _LINE * (1_000_000 // len(_LINE))
     (_MB + "\\boxed{" + _MB, _MB.strip(), 0),
 ], ids=["bare", "marker-last", "unclosed-boxed"])
 def test_two_megabyte_rollouts_score(rollout, extracted, reward):
-    result = exact_reward(RewardRequest(question="q", gold_answer="7", rollout=rollout))
+    result = RewardVerifier().score(RewardRequest(question="q", gold_answer="7", rollout=rollout))
     assert (result.extracted_answer, result.reward) == (extracted, reward)
 
 
@@ -239,8 +237,8 @@ def test_normalize_answer(raw, normalized):
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=200), st.text(min_size=1, max_size=50))
 def test_reward_is_binary_and_deterministic(rollout, gold):
-    first = exact_reward(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
-    second = exact_reward(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
+    first = RewardVerifier().score(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
+    second = RewardVerifier().score(RewardRequest(question="q", gold_answer=gold, rollout=rollout))
     assert first.reward in (0, 1)
     assert (first.reward, first.method, first.extracted_answer) == (
         second.reward,
@@ -255,7 +253,7 @@ def test_normalization_symmetry(answer):
     """A value always matches itself, however the surface form is perturbed."""
     perturbed = "  " + answer.upper() + ".  "
     req = RewardRequest(question="q", gold_answer=answer, rollout="Answer: " + perturbed)
-    got = exact_reward(req)
+    got = RewardVerifier().score(req)
     if normalize_answer(answer):
         if extract_final_answer(req.rollout) == perturbed.strip():
             assert got.reward == 1
@@ -331,8 +329,23 @@ def test_judge_never_raises_and_degrades_to_exact_without_gateway():
 def test_judge_reward_uses_extracted_answer(gw_factory):
     gateway = gw_factory(_judge_script("MATCH: yes"))
     req = RewardRequest(question="q", gold_answer="Paris", rollout="blah\nAnswer: Lutetia")
-    result = judge_reward(req, gateway)
+    result = RewardVerifier(cfg=RewardConfig(judge=True), gateway=gateway).score(req)
     assert result.extracted_answer == "Lutetia"
+
+
+def test_judged_score_extracts_once(gw_factory, monkeypatch):
+    calls = []
+
+    def counted(rollout, cfg=None):
+        calls.append(rollout)
+        return extract_final_answer(rollout, cfg)
+
+    monkeypatch.setattr("qaforge.reward.extract_final_answer", counted)
+    gateway = gw_factory(_judge_script("MATCH: yes"))
+    verifier = RewardVerifier(cfg=RewardConfig(judge=True), gateway=gateway)
+    result = verifier.score(RewardRequest(question="q", gold_answer="Paris", rollout="Answer: Lutetia"))
+    assert result.reward == 1 and result.method == "judge"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,5 +443,5 @@ def test_serve_stdin_answers_every_json_line(lines):
 
 
 def test_empty_gold_never_rewards():
-    result = exact_reward(RewardRequest(question="q", gold_answer="  ", rollout="\n\n"))
+    result = RewardVerifier().score(RewardRequest(question="q", gold_answer="  ", rollout="\n\n"))
     assert result.reward == 0
