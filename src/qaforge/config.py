@@ -154,6 +154,13 @@ _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfi
              if f.name != "sources"}
 
 
+def _fields_ending(cfg: PipelineConfig, suffix: str) -> list[tuple[str, Any]]:
+    """("<section>.<field>", value) of every section field whose name ends with suffix."""
+    return [(f"{name}.{f.name}", getattr(getattr(cfg, name), f.name))
+            for name in _SECTIONS for f in dataclasses.fields(_SECTIONS[name])
+            if f.name.endswith(suffix)]
+
+
 def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
@@ -173,6 +180,7 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     gw = cfg.gateway
     rate = (gw.rate_capacity, gw.rate_refill_per_s)
     prices = [v for price in gw.pricing.values() for v in price.values()]
+    fc, gc = cfg.filter, cfg.generate
     # Written as "ok" conditions, so a NaN fails them.
     checks = [
         (not dupes, f"duplicate source names: {dupes}"),
@@ -188,6 +196,15 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
         (cfg.classify.max_personas >= 1, "classify.max_personas must be >= 1"),
         (cfg.generate.answer_max_chars >= 1, "generate.answer_max_chars must be >= 1"),
         (cfg.decontaminate.ngram >= 1, "decontaminate.ngram must be >= 1"),
+        *((0 <= v < math.inf, f"{key} must be finite and >= 0")
+          for key, v in _fields_ending(cfg, "temperature")),
+        *((v >= 1, f"{key} must be >= 1") for key, v in _fields_ending(cfg, "max_output_tokens")),
+        (fc.max_chars >= 1, "filter.max_chars must be >= 1"),
+        (fc.min_chars >= 0, "filter.min_chars must be >= 0"),
+        (0 <= fc.min_alpha <= 1, "filter.min_alpha must be in [0, 1]"),
+        (0 <= fc.max_boilerplate <= 1, "filter.max_boilerplate must be in [0, 1]"),
+        (gc.k_shots >= 0, "generate.k_shots must be >= 0"),
+        (gc.excerpt_chars >= 1, "generate.excerpt_chars must be >= 1"),
     ]
     for ok, problem in checks:
         if not ok:

@@ -213,19 +213,18 @@ def read_index(path: str, n: int) -> NGramIndex:
     )
 
 
-def pinned_index(run_dir: str, eval_dir: str, n: int, *, resume: bool) -> NGramIndex:
+def pinned_index(run_dir: str, eval_dir: Optional[str], n: int) -> NGramIndex:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    A new run builds it from eval_dir and writes the file with os.replace.
-    run_pipeline calls this once its first documents are in flight, and opens
-    every eval file before it creates the run dir, so a bad eval_dir leaves
-    nothing behind. A resume loads the file before any provider call, so it
-    screens against the same grams even if eval_dir has changed since; a run
-    dir without the file (from before pinning, or from a run that stopped
-    before its index was built) gets one now.
+    The file is read if it is there; else the index is built from eval_dir
+    (empty without one) and written with os.replace. A run calls this at its
+    first screen and a resume before any provider call, so every candidate of
+    a run dir is screened against the same grams even if eval_dir changes.
+    run_pipeline opens every eval file before it creates the run dir, so a bad
+    eval_dir leaves nothing behind.
     """
     path = os.path.join(run_dir, INDEX_FILE)
-    if resume and os.path.exists(path):
+    if os.path.exists(path):
         return read_index(path, n)
     index = build_index_from_dir(eval_dir, n) if eval_dir else NGramIndex(n=n)
     write_index(index, path)

@@ -124,7 +124,7 @@ class RunLedger:
         if row is None:
             return None
         _, offset, size = row
-        return json.loads(os.pread(self._fds[stage], size, offset).decode("utf-8"))
+        return json_object(os.pread(self._fds[stage], size, offset).decode("utf-8"))
 
     def outcome(self, stage: str, item_id: str) -> Optional[str]:
         """The logged outcome of (stage, item_id), without reading its line."""

@@ -14,11 +14,10 @@ each source file opens and that the eval dir exists and each of its files
 opens, runs before the run directory is written. Then the run takes an
 exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
 dir; a second run or resume fails at once. A fresh run then writes
-config.json and starts the pool. Its eval index is built on the ingest thread
-when the window of documents in flight is full or the sources are exhausted,
-so the first provider calls do not wait for the build; workers wait for the
-pinned index before they screen. A resume loads the pinned index before any
-provider call.
+config.json and starts the pool. The eval index is pinned by the first
+candidate screened, on its worker, so the first provider calls do not wait for
+the build; other workers wait for it before they screen. A resume loads the
+pinned index before any provider call.
 
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
@@ -33,11 +32,12 @@ import json
 import math
 import os
 import statistics
+import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterator, Optional
 
@@ -161,8 +161,17 @@ class _RunContext:
     gateway: Gateway
     ledger: RunLedger
     demos: DemoLibrary
-    eval_index: Future[NGramIndex]  # set once the index is pinned; cancelled on abort
     hook: Optional[StageHook] = None
+    _index: Optional[NGramIndex] = None
+    _index_lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def eval_index(self) -> NGramIndex:
+        """The run's pinned eval index; the first call loads or builds and pins it."""
+        with self._index_lock:
+            if self._index is None:
+                dcfg = self.cfg.decontaminate
+                self._index = pinned_index(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram)
+            return self._index
 
     def log(self, stage: str, item_id: str, outcome: str, reason: str = "",
             fingerprint: str = "", data: Optional[dict] = None) -> bool:
@@ -240,7 +249,7 @@ def _verify(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
 
 
 def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
-    report = is_contaminated(qa.question, qa.answer, ctx.eval_index.result())
+    report = is_contaminated(qa.question, qa.answer, ctx.eval_index())
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
@@ -487,21 +496,23 @@ def run_pipeline(
     with _run_dir_lock(run_dir):
         if not resume and os.path.exists(snapshot_path):
             raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
-        eval_index: Future[NGramIndex] = Future()
-        if resume:
-            eval_index.set_result(pinned_index(run_dir, dcfg.eval_dir, dcfg.ngram, resume=True))
-        else:
-            with open(snapshot_path, "w", encoding="utf-8") as fh:
-                json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-                fh.write("\n")
         ctx = _RunContext(cfg=cfg, gateway=gw, ledger=RunLedger(run_dir), demos=demos,
-                          eval_index=eval_index, hook=on_stage_logged)
-        return _drive(ctx, resume, start)
+                          hook=on_stage_logged)
+        try:
+            if resume:
+                ctx.eval_index()
+            else:
+                with open(snapshot_path, "w", encoding="utf-8") as fh:
+                    json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            return _drive(ctx, resume, start)
+        finally:
+            ctx.ledger.close()
 
 
 def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
     """Run every document through the stages, then write the report."""
-    cfg, gw, ledger, eval_index = ctx.cfg, ctx.gateway, ctx.ledger, ctx.eval_index
+    cfg, gw, ledger = ctx.cfg, ctx.gateway, ctx.ledger
     run_dir = cfg.run.run_dir
     writer = _DatasetWriter(cfg.run.out, resume=resume)
     ingest_counts: Counter = Counter()  # (source, "kept" or drop reason), recounted each session
@@ -510,11 +521,6 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         ctx.log("ingest", key, "drop", reason=reason)
         ingest_counts[source, reason] += 1
 
-    def pin_index() -> None:
-        if not eval_index.done():
-            eval_index.set_result(pinned_index(run_dir, cfg.decontaminate.eval_dir,
-                                               cfg.decontaminate.ngram, resume=False))
-
     try:
         docs = dedup(sample_mixture(cfg.sources, ingest_drop), ingest_drop)
         # Drain in submission order: output order never depends on which
@@ -522,8 +528,6 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         # 4x concurrency are pending, so memory does not grow with the corpus;
         # a 2x window lets one slow head document stall the other threads.
         # Heuristic rejects yield no records, so skipping them keeps the order.
-        # The index is built when ingest would first wait, or after the last
-        # document: until then the first documents are with the provider.
         window = 4 * gw.concurrency
         pending: deque[Future] = deque()
         with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
@@ -535,21 +539,16 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
                         continue
                     pending.append(pool.submit(_process_document, ctx, doc))
                     if len(pending) > window:
-                        pin_index()
                         writer.append(pending.popleft().result())
-                pin_index()
                 while pending:
                     writer.append(pending.popleft().result())
                 writer.finish()
             except BaseException:
-                # Workers waiting to screen would otherwise never return, and
-                # the shutdown below would wait for them forever.
-                eval_index.cancel()
+                # Queued documents must not start after an abort.
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
     finally:
         writer.close()
-        ledger.close()
 
     records_written = writer.count
     funnel, problems = _check_funnel(ledger, records_written)

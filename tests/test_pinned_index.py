@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -14,7 +17,7 @@ from qaforge import cli, decontam
 from qaforge.decontam import INDEX_FILE, build_index, build_index_from_dir, is_contaminated, read_index
 from qaforge.errors import ConfigDriftError
 from qaforge.gateway import Gateway, MockProvider, MockScript
-from qaforge.pipeline import resume_run, run_pipeline
+from qaforge.pipeline import _RunContext, resume_run, run_pipeline
 from qaforge.types import SourceSpec
 
 
@@ -152,7 +155,8 @@ def test_run_without_eval_dir_pins_an_empty_index(tmp_path):
     assert read_index(str(path), 13) == build_index([], 13)
 
 
-# The index is built on the ingest thread once the first documents are in flight.
+# The first candidate screened builds and pins the index, on its worker; the
+# other workers wait for it under the run context's lock.
 
 
 def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, reference):
@@ -192,6 +196,42 @@ def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, referenc
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
 
 
+def test_concurrent_first_screens_build_the_index_once(tmp_path, monkeypatch):
+    bundle = build_fixture(tmp_path)
+    cfg = bundle.config()
+    os.makedirs(cfg.run.run_dir)
+    builds = []
+    real_build = decontam.build_index_from_dir
+
+    def counting_build(eval_dir, n=13):
+        builds.append(threading.get_ident())
+        time.sleep(0.05)  # a window in which an unlocked second screen would build too
+        return real_build(eval_dir, n)
+
+    monkeypatch.setattr(decontam, "build_index_from_dir", counting_build)
+    ctx = _RunContext(cfg=cfg, gateway=None, ledger=None, demos=None)
+    start, got = threading.Barrier(16), []
+
+    def screen():
+        start.wait(timeout=10)
+        got.append(ctx.eval_index())
+
+    threads = [threading.Thread(target=screen, daemon=True) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1 and len(got) == 16
+    assert all(index is got[0] for index in got)
+    assert read_index(str(bundle.root / "run" / INDEX_FILE), 13) == got[0]
+
+
 def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
     bundle = build_fixture(tmp_path)
     run_dir = bundle.root / "run"
@@ -220,10 +260,6 @@ def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
     assert not runner.is_alive(), "run_pipeline hung after the ingest thread raised"
     assert isinstance(result.get("exc"), Interrupt)
     assert screening.is_set()
-    # No candidate was screened, and no index was pinned.
-    screened = run_dir / "ledgers" / "decontaminate.jsonl"
-    assert not screened.exists() or screened.read_bytes() == b""
-    assert not (run_dir / INDEX_FILE).exists()
 
     report = resume_run(str(run_dir), gateway=counted_gateway(bundle)[1])
     assert report.funnel_consistent, report.funnel_problems
@@ -237,9 +273,47 @@ def test_all_reject_corpus_pins_the_index(tmp_path):
     write_jsonl(tmp_path / "junk.jsonl", [{"text": f"Too short {i}."} for i in range(5)])
     cfg = bundle.config()
     cfg.sources = [SourceSpec("junk", str(tmp_path / "junk.jsonl"))]
+    run_dir = bundle.root / "run"
     provider, gw = counted_gateway(bundle)
     report = run_pipeline(cfg, gateway=gw)
     assert provider.total_calls == 0
     assert report.funnel["filter"] == {"in": 5, "pass": 0, "reject": 5, "drop": 0}
-    pinned = read_index(str(bundle.root / "run" / INDEX_FILE), 13)
+    # Nothing was screened, so nothing was pinned; the resume pins it.
+    assert not (run_dir / INDEX_FILE).exists()
+    provider, gw = counted_gateway(bundle)
+    resume_run(str(run_dir), gateway=gw)
+    assert provider.total_calls == 0
+    pinned = read_index(str(run_dir / INDEX_FILE), 13)
     assert pinned == build_index_from_dir(str(bundle.eval_dir), 13)
+
+
+def test_a_failed_index_build_ends_the_run(tmp_path, monkeypatch, reference):
+    bundle = build_fixture(tmp_path)
+    run_dir = bundle.root / "run"
+
+    def failing_build(eval_dir, n=13):
+        raise OSError("eval dir went away")
+
+    monkeypatch.setattr(decontam, "build_index_from_dir", failing_build)
+    result = {}
+
+    def run():
+        try:
+            run_pipeline(bundle.config(), gateway=counted_gateway(bundle)[1])
+        except BaseException as exc:
+            result["exc"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "run_pipeline hung after the index build failed"
+    assert isinstance(result.get("exc"), OSError)
+    assert not (run_dir / INDEX_FILE).exists()
+    screened = run_dir / "ledgers" / "decontaminate.jsonl"
+    assert not screened.exists() or screened.read_bytes() == b""
+
+    monkeypatch.undo()
+    report = resume_run(str(run_dir), gateway=counted_gateway(bundle)[1])
+    assert report.funnel_consistent, report.funnel_problems
+    assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]

@@ -171,11 +171,36 @@ def test_unknown_source_key_rejected():
         {"sources": [{"path": "p"}]},
         {"sources": [None]},
         {"sources": [{"source": "a", "path": "p", "quota": -1}]},
+        {"filter": {"temperature": float("nan")}},
+        {"classify": {"temperature": -0.5}},
+        {"generate": {"temperature": -1}},
+        {"generate": {"distill_temperature": float("inf")}},
+        {"verify": {"temperature": float("nan")}},
+        {"reward": {"judge_temperature": -1.0}},
+        {"filter": {"max_output_tokens": 0}},
+        {"classify": {"max_output_tokens": -1}},
+        {"generate": {"max_output_tokens": 0}},
+        {"verify": {"max_output_tokens": 0}},
+        {"filter": {"max_chars": 0}},
+        {"filter": {"min_chars": -1}},
+        {"filter": {"min_alpha": 7.0}},
+        {"filter": {"max_boilerplate": float("nan")}},
+        {"generate": {"k_shots": -1}},
+        {"generate": {"excerpt_chars": 0}},
     ],
 )
 def test_bound_validation(data):
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+def test_stage_bounds_take_their_edges():
+    cfg = config_from_dict({
+        "filter": {"temperature": 0, "max_output_tokens": 1, "max_chars": 1, "min_chars": 0,
+                   "min_alpha": 1, "max_boilerplate": 0.0},
+        "generate": {"k_shots": 0, "excerpt_chars": 1, "distill_temperature": 2.0},
+    })
+    assert (cfg.filter.max_chars, cfg.filter.min_alpha, cfg.generate.k_shots) == (1, 1, 0)
 
 
 def test_pricing_takes_a_number_per_known_key():
@@ -190,10 +215,13 @@ def test_pricing_takes_a_number_per_known_key():
         ("gateway", "mock_script", "mock-typo.jsonl"),
         ("generate", "demo_path", "demos-typo.jsonl"),
         ("sources", "path", "corpus-typo.jsonl"),
+        ("sources", "path", "corpus-dir/"),  # a directory is not a source file
     ],
 )
 def test_a_bad_path_writes_nothing_to_the_run_dir(tmp_path, capsys, section, key, bad):
     cfg_path, cfg_dict = mini_config(tmp_path)
+    if bad.endswith("/"):
+        (tmp_path / bad).mkdir()
     where = cfg_dict["sources"][0] if section == "sources" else cfg_dict.setdefault(section, {})
     good = where.get(key)
     where[key] = str(tmp_path / bad)
