@@ -9,7 +9,8 @@ eval side and the query side, so tiny benchmark items remain detectable.
 
 The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
 searched with bisect. A run pins it in its run directory, so a resume screens
-against the same grams as the run's first candidates.
+against the same grams as the run's first candidates. A run builds it in a
+child process, `python -S -m qaforge.decontam EVAL_DIR N PATH` (IndexPin).
 """
 
 from __future__ import annotations
@@ -146,15 +147,18 @@ def is_contaminated(question: str, answer: str, index: NGramIndex) -> Contaminat
 
 
 def eval_paths(eval_dir: str) -> list[str]:
-    """Every .jsonl file under eval_dir, sorted; IngestError if the dir is missing."""
+    """Every .jsonl file under eval_dir, sorted; IngestError if the dir is missing or holds none."""
     if not os.path.isdir(eval_dir):
         raise IngestError(f"eval dir not found: {eval_dir}")
-    return sorted(
+    paths = sorted(
         os.path.join(root, name)
         for root, _, names in os.walk(eval_dir)
         for name in names
         if name.endswith(".jsonl")
     )
+    if not paths:
+        raise IngestError(f"eval dir holds no .jsonl file: {eval_dir}")
+    return paths
 
 
 def load_eval_dir(eval_dir: str) -> Iterator[str]:
@@ -185,7 +189,7 @@ def write_index(index: NGramIndex, path: str) -> None:
     if sys.byteorder == "big":
         grams = array("Q", grams)
         grams.byteswap()
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"  # an orphaned build never writes into another's tmp file
     with open(tmp, "wb") as fh:
         fh.write(_INDEX_HEADER.pack(_INDEX_MAGIC, INDEX_FORMAT_VERSION, index.n,
                                     index.source_count, len(grams)))
@@ -213,19 +217,51 @@ def read_index(path: str, n: int) -> NGramIndex:
     )
 
 
-def pinned_index(run_dir: str, eval_dir: Optional[str], n: int) -> NGramIndex:
+class IndexPin:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    The file is read if it is there; else the index is built from eval_dir
-    (empty without one) and written with os.replace. A run calls this at its
-    first screen and a resume before any provider call, so every candidate of
-    a run dir is screened against the same grams even if eval_dir changes.
-    run_pipeline opens every eval file before it creates the run dir, so a bad
-    eval_dir leaves nothing behind.
+    The file is read if it is there. Else a child process builds the index from
+    eval_dir and writes the file, on a CPU the run's threads leave idle; without
+    an eval_dir the empty index is written here. A run pins the index at its
+    first screen and a resume before any provider call, so every candidate of a
+    run dir is screened against the same grams even if eval_dir changes.
     """
-    path = os.path.join(run_dir, INDEX_FILE)
-    if os.path.exists(path):
-        return read_index(path, n)
-    index = build_index_from_dir(eval_dir, n) if eval_dir else NGramIndex(n=n)
-    write_index(index, path)
-    return index
+
+    def __init__(self, run_dir: str, eval_dir: Optional[str], n: int):
+        self.path, self.n, self._child, self._error = os.path.join(run_dir, INDEX_FILE), n, None, ""
+        if not eval_dir and not os.path.exists(self.path):
+            write_index(NGramIndex(n=n), self.path)
+        elif not os.path.exists(self.path):
+            import subprocess  # loaded here, as gateway.py loads its HTTP stack
+
+            # -S skips the site-packages start-up, so the package root goes first
+            # on PYTHONPATH. close_fds (the default) keeps run.lock out of the child.
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+            self._child = subprocess.Popen(
+                [sys.executable, "-S", "-m", "qaforge.decontam", eval_dir, str(n), self.path],
+                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+
+    def result(self, wait: bool) -> Optional[NGramIndex]:
+        """The pinned index; None while the build runs and wait is false; IngestError if it failed."""
+        child = self._child
+        if child is not None and (child.wait() if wait else child.poll()) is None:
+            return None
+        if child is not None and child.returncode:
+            self._error = self._error or (child.stderr.read().decode("utf-8", "replace").strip()
+                                          .rpartition("\n")[2] or f"exit status {child.returncode}")
+            raise IngestError(f"eval index build failed: {self._error}")
+        return read_index(self.path, self.n)
+
+    def close(self) -> None:
+        """Kill and reap a build that is still running."""
+        if self._child is not None:
+            self._child.kill()
+            self._child.communicate()  # reaps it and closes its stderr
+
+
+if __name__ == "__main__":  # IndexPin's child: on failure, one `Type: message` line and exit 1
+    try:
+        write_index(build_index_from_dir(sys.argv[1], int(sys.argv[2])), sys.argv[3])
+    except Exception as exc:
+        sys.exit(f"{type(exc).__name__}: {exc}")

@@ -14,10 +14,11 @@ each source file opens and that the eval dir exists and each of its files
 opens, runs before the run directory is written. Then the run takes an
 exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
 dir; a second run or resume fails at once. A fresh run then writes
-config.json and starts the pool. The eval index is pinned by the first
-candidate screened, on its worker, so the first provider calls do not wait for
-the build; other workers wait for it before they screen. A resume loads the
-pinned index before any provider call.
+config.json and starts the pool. The first candidate screened starts the eval
+index build in a child process (decontam.IndexPin). A document that reaches
+its screen before the index is pinned is parked, and submitted again once it
+is; its stage rows come back from the ledger, so that costs no provider call.
+A resume pins the index before any provider call.
 
 Output ordering is deterministic by construction. Documents get sequence
 numbers in ingest order and results are drained in that order, so the dataset
@@ -49,7 +50,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .decontam import NGramIndex, eval_paths, is_contaminated, pinned_index
+from .decontam import IndexPin, NGramIndex, eval_paths, is_contaminated
 from .errors import (
     ConfigDriftError,
     ConfigError,
@@ -162,15 +163,18 @@ class _RunContext:
     ledger: RunLedger
     demos: DemoLibrary
     hook: Optional[StageHook] = None
+    pin: Optional[IndexPin] = None
     _index: Optional[NGramIndex] = None
     _index_lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def eval_index(self) -> NGramIndex:
-        """The run's pinned eval index; the first call loads or builds and pins it."""
+    def eval_index(self, wait: bool) -> Optional[NGramIndex]:
+        """The run's pinned eval index (IndexPin.result); the first call reads it or starts its build."""
         with self._index_lock:
             if self._index is None:
-                dcfg = self.cfg.decontaminate
-                self._index = pinned_index(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram)
+                if self.pin is None:
+                    dcfg = self.cfg.decontaminate
+                    self.pin = IndexPin(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram)
+                self._index = self.pin.result(wait)
             return self._index
 
     def log(self, stage: str, item_id: str, outcome: str, reason: str = "",
@@ -248,8 +252,15 @@ def _verify(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
     return "reject", "incorrect" if not verdict.correct else "leaked", data, ""
 
 
+class IndexPending(Exception):
+    """A candidate reached its screen before the eval index was pinned; memo logs nothing."""
+
+
 def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
-    report = is_contaminated(qa.question, qa.answer, ctx.eval_index())
+    index = ctx.eval_index(wait=False)
+    if index is None:
+        raise IndexPending()
+    report = is_contaminated(qa.question, qa.answer, index)
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
@@ -500,13 +511,15 @@ def run_pipeline(
                           hook=on_stage_logged)
         try:
             if resume:
-                ctx.eval_index()
+                ctx.eval_index(wait=True)
             else:
                 with open(snapshot_path, "w", encoding="utf-8") as fh:
                     json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
                     fh.write("\n")
             return _drive(ctx, resume, start)
         finally:
+            if ctx.pin is not None:
+                ctx.pin.close()
             ctx.ledger.close()
 
 
@@ -524,12 +537,54 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
     try:
         docs = dedup(sample_mixture(cfg.sources, ingest_drop), ingest_drop)
         # Drain in submission order: output order never depends on which
-        # thread finished first. Ingest waits on the oldest document once
-        # 4x concurrency are pending, so memory does not grow with the corpus;
-        # a 2x window lets one slow head document stall the other threads.
+        # thread finished first. Ingest waits while more than 4x concurrency
+        # pending documents, not parked and not done without records, are
+        # running or unwritten, so memory does not grow with the corpus; a 2x
+        # window lets one slow head document stall the other threads.
         # Heuristic rejects yield no records, so skipping them keeps the order.
         window = 4 * gw.concurrency
-        pending: deque[Future] = deque()
+        cap = 64 * window  # every pending document, parked ones included
+        pending: deque[list] = deque()  # [document, records or error once ready], in order
+        parked: list[list] = []  # pending entries whose future raised IndexPending
+        cond = threading.Condition()
+        idle = 0  # ready pending documents without records
+
+        def settle(entry: list, future: Future) -> None:
+            nonlocal idle
+            with cond:
+                exc = future.cancelled() or future.exception()  # True: cancelled by an abort
+                if isinstance(exc, IndexPending):
+                    parked.append(entry)
+                else:  # keep the result, not the future, and let the document go
+                    entry[:] = None, exc or future.result()
+                    idle += not entry[1]
+                cond.notify()
+
+        def submit(entry: list) -> None:
+            pool.submit(_process_document, ctx, entry[0]).add_done_callback(
+                lambda future: settle(entry, future))
+
+        def drain(enough: Callable[[], bool]) -> None:
+            """Write ready head documents, and submit parked ones again once the
+            index is pinned, until enough() holds."""
+            nonlocal idle
+            with cond:
+                while True:
+                    if pending and pending[0][1] is not None:
+                        records = pending.popleft()[1]
+                        if isinstance(records, BaseException):
+                            raise records
+                        idle -= not records
+                        writer.append(records)
+                    elif parked and ctx.eval_index(wait=False) is not None:
+                        for entry in parked:
+                            submit(entry)
+                        parked.clear()
+                    elif enough():
+                        return
+                    else:  # while documents are parked, the build is polled every 5 ms
+                        cond.wait(timeout=0.005 if parked else None)
+
         with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
             try:
                 for doc in docs:
@@ -537,11 +592,10 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
                     ingest_counts[doc.source, "kept"] += 1
                     if not _needs_llm(ctx, doc):
                         continue
-                    pending.append(pool.submit(_process_document, ctx, doc))
-                    if len(pending) > window:
-                        writer.append(pending.popleft().result())
-                while pending:
-                    writer.append(pending.popleft().result())
+                    pending.append([doc, None])
+                    submit(pending[-1])
+                    drain(lambda: len(pending) - len(parked) - idle <= window and len(pending) <= cap)
+                drain(lambda: not pending)
                 writer.finish()
             except BaseException:
                 # Queued documents must not start after an abort.

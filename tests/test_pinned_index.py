@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -13,9 +14,16 @@ import pytest
 from fixture_builder import build_fixture
 
 from conftest import read_jsonl, write_jsonl
-from qaforge import cli, decontam
-from qaforge.decontam import INDEX_FILE, build_index, build_index_from_dir, is_contaminated, read_index
-from qaforge.errors import ConfigDriftError
+from qaforge import cli, pipeline
+from qaforge.decontam import (
+    INDEX_FILE,
+    IndexPin,
+    build_index,
+    build_index_from_dir,
+    is_contaminated,
+    read_index,
+)
+from qaforge.errors import ConfigDriftError, IngestError
 from qaforge.gateway import Gateway, MockProvider, MockScript
 from qaforge.pipeline import _RunContext, resume_run, run_pipeline
 from qaforge.types import SourceSpec
@@ -155,28 +163,54 @@ def test_run_without_eval_dir_pins_an_empty_index(tmp_path):
     assert read_index(str(path), 13) == build_index([], 13)
 
 
-# The first candidate screened builds and pins the index, on its worker; the
-# other workers wait for it under the run context's lock.
+# The first candidate screened starts the index build in a child process. A
+# document that reaches its screen before the index is pinned is parked and
+# submitted again once it is.
+
+
+def within(seconds, fn):
+    """Run fn on a thread; what it returned or raised, once it has ended within seconds."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["exc"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"still running after {seconds} s"
+    return out
+
+
+def spawn_spy(monkeypatch, rewrite=lambda args: args):
+    """Record every child process started, its command passed through rewrite."""
+    children, real = [], subprocess.Popen
+
+    def spy(args, **kwargs):
+        children.append((args, real(rewrite(args), **kwargs)))
+        return children[-1][1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return children
 
 
 def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, reference):
     bundle = build_fixture(tmp_path)
     provider, gw = counted_gateway(bundle)
     path = bundle.root / "run" / INDEX_FILE
-    events, sent = [], threading.Event()
+    events = []
     send = provider.send
 
     def recording_send(req):
         events.append("send")
-        sent.set()
         return send(req)
 
-    real_build = decontam.build_index_from_dir
-
-    def recording_build(eval_dir, n=13):
-        # Were the build to run before the pool started, no send could come.
-        events.append(("build", sent.wait(timeout=10)))
-        return real_build(eval_dir, n)
+    def recording_start(args):
+        events.append("child")
+        return args
 
     pinned_at_screen = []
 
@@ -185,14 +219,16 @@ def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, referenc
             pinned_at_screen.append(path.exists())
 
     provider.send = recording_send
-    monkeypatch.setattr(decontam, "build_index_from_dir", recording_build)
+    children = spawn_spy(monkeypatch, recording_start)
     report = run_pipeline(bundle.config(), gateway=gw, on_stage_logged=hook)
 
-    assert events[0] == "send"
-    assert [e for e in events if e != "send"] == [("build", True)]
+    assert events[0] == "send" and events.count("child") == 1
+    (args, child), = children
+    assert args[1:] == ["-S", "-m", "qaforge.decontam", str(bundle.eval_dir), "13", str(path)]
+    assert child.returncode == 0
     assert pinned_at_screen and all(pinned_at_screen)
     assert report.funnel_consistent, report.funnel_problems
-    assert read_index(str(path), 13) == real_build(str(bundle.eval_dir), 13)
+    assert read_index(str(path), 13) == build_index_from_dir(str(bundle.eval_dir), 13)
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
 
 
@@ -200,21 +236,16 @@ def test_concurrent_first_screens_build_the_index_once(tmp_path, monkeypatch):
     bundle = build_fixture(tmp_path)
     cfg = bundle.config()
     os.makedirs(cfg.run.run_dir)
-    builds = []
-    real_build = decontam.build_index_from_dir
-
-    def counting_build(eval_dir, n=13):
-        builds.append(threading.get_ident())
-        time.sleep(0.05)  # a window in which an unlocked second screen would build too
-        return real_build(eval_dir, n)
-
-    monkeypatch.setattr(decontam, "build_index_from_dir", counting_build)
+    children = spawn_spy(monkeypatch)
     ctx = _RunContext(cfg=cfg, gateway=None, ledger=None, demos=None)
     start, got = threading.Barrier(16), []
 
     def screen():
         start.wait(timeout=10)
-        got.append(ctx.eval_index())
+        deadline = time.monotonic() + 30
+        while (index := ctx.eval_index(wait=False)) is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        got.append(index)
 
     threads = [threading.Thread(target=screen, daemon=True) for _ in range(16)]
     interval = sys.getswitchinterval()
@@ -223,13 +254,91 @@ def test_concurrent_first_screens_build_the_index_once(tmp_path, monkeypatch):
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=30)
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+        ctx.pin.close()
     assert not any(thread.is_alive() for thread in threads)
-    assert len(builds) == 1 and len(got) == 16
-    assert all(index is got[0] for index in got)
+    assert len(children) == 1 and len(got) == 16
+    assert got[0] is not None and all(index is got[0] for index in got)
     assert read_index(str(bundle.root / "run" / INDEX_FILE), 13) == got[0]
+    assert got[0] == build_index_from_dir(str(bundle.eval_dir), 13)
+
+
+def test_the_index_child_imports_only_the_index_code(tmp_path, monkeypatch):
+    bundle = build_fixture(tmp_path / "fixture")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    children = spawn_spy(monkeypatch, lambda args: [args[0], "-X", "importtime", *args[1:]])
+    pin = IndexPin(str(run_dir), str(bundle.eval_dir), 13)
+    try:
+        index = pin.result(wait=True)
+        timings = children[0][1].stderr.read().decode()
+    finally:
+        pin.close()
+    imported = {line.rsplit("|", 1)[1].strip() for line in timings.splitlines() if "|" in line}
+    ours = {name for name in imported if name.split(".")[0] == "qaforge"}
+    assert {"qaforge", "qaforge.errors", "qaforge.types"} <= ours
+    assert ours <= {"qaforge", "qaforge.decontam", "qaforge.errors", "qaforge.types"}
+    assert "site" not in imported  # -S
+    assert index == build_index_from_dir(str(bundle.eval_dir), 13)
+    assert [p.name for p in run_dir.iterdir()] == [INDEX_FILE]  # no tmp file left
+
+
+@pytest.mark.parametrize("concurrency", [1, 4, 16])
+def test_parked_documents_cost_no_provider_call(tmp_path, monkeypatch, reference, concurrency):
+    bundle = build_fixture(tmp_path)
+    provider, gw = counted_gateway(bundle, concurrency)
+    window = 4 * concurrency
+    parked, released = [], threading.Event()
+    process = pipeline._process_document
+
+    def parking_process(ctx, doc):
+        try:
+            return process(ctx, doc)
+        except pipeline.IndexPending:
+            parked.append(doc.doc_id)
+            if len(parked) >= window:
+                released.set()
+            raise
+
+    class HeldChild(subprocess.Popen):
+        """The build child, seen as running until a window of documents is parked."""
+
+        def poll(self):
+            return super().poll() if released.is_set() else None
+
+        def wait(self, timeout=None):
+            released.wait(timeout=30)
+            return super().wait(timeout)
+
+    monkeypatch.setattr(pipeline, "_process_document", parking_process)
+    monkeypatch.setattr(subprocess, "Popen", HeldChild)
+    report = within(60, lambda: run_pipeline(bundle.config(), gateway=gw))["value"]
+
+    assert len(parked) >= window
+    assert report.funnel_consistent, report.funnel_problems
+    assert provider.total_calls == 560 and dict(provider.calls) == reference["calls"]
+    assert ledger_rows(bundle.root / "run", "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+
+
+def test_an_abort_while_the_index_builds_leaves_no_child(tmp_path, monkeypatch):
+    bundle = build_fixture(tmp_path)
+    # A build that would outlast the run: only the abort can end it.
+    children = spawn_spy(monkeypatch, lambda args: [args[0], "-c", "import time; time.sleep(60)"])
+
+    def hook(stage, item_id, outcome):
+        if stage == "ingest" and children:
+            raise Interrupt()
+
+    gw = counted_gateway(bundle, concurrency=1)[1]
+    got = within(30, lambda: run_pipeline(bundle.config(), gateway=gw, on_stage_logged=hook))
+    assert isinstance(got.get("exc"), Interrupt)
+    (_, child), = children
+    assert child.returncode is not None  # killed and reaped
+    with pytest.raises(ProcessLookupError):
+        os.kill(child.pid, 0)
 
 
 def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
@@ -287,32 +396,30 @@ def test_all_reject_corpus_pins_the_index(tmp_path):
     assert pinned == build_index_from_dir(str(bundle.eval_dir), 13)
 
 
-def test_a_failed_index_build_ends_the_run(tmp_path, monkeypatch, reference):
+def test_a_failed_index_build_ends_the_run(tmp_path, reference):
     bundle = build_fixture(tmp_path)
     run_dir = bundle.root / "run"
+    aside = tmp_path / "evals-aside"
+    lock = threading.Lock()
 
-    def failing_build(eval_dir, n=13):
-        raise OSError("eval dir went away")
+    def hook(stage, item_id, outcome):
+        # Each screen follows its candidate's verify row, so the child starts
+        # after the eval dir has gone.
+        if stage == "verify":
+            with lock:
+                if not aside.exists():
+                    bundle.eval_dir.rename(aside)
 
-    monkeypatch.setattr(decontam, "build_index_from_dir", failing_build)
-    result = {}
-
-    def run():
-        try:
-            run_pipeline(bundle.config(), gateway=counted_gateway(bundle)[1])
-        except BaseException as exc:
-            result["exc"] = exc
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "run_pipeline hung after the index build failed"
-    assert isinstance(result.get("exc"), OSError)
-    assert not (run_dir / INDEX_FILE).exists()
+    gw = counted_gateway(bundle)[1]
+    got = within(60, lambda: run_pipeline(bundle.config(), gateway=gw, on_stage_logged=hook))
+    assert isinstance(got.get("exc"), IngestError)
+    assert str(got["exc"]) == (
+        f"eval index build failed: IngestError: eval dir not found: {bundle.eval_dir}")
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "ledgers", "run.lock"]
     screened = run_dir / "ledgers" / "decontaminate.jsonl"
     assert not screened.exists() or screened.read_bytes() == b""
 
-    monkeypatch.undo()
+    aside.rename(bundle.eval_dir)
     report = resume_run(str(run_dir), gateway=counted_gateway(bundle)[1])
     assert report.funnel_consistent, report.funnel_problems
     assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]

@@ -216,6 +216,7 @@ def test_pricing_takes_a_number_per_known_key():
         ("generate", "demo_path", "demos-typo.jsonl"),
         ("sources", "path", "corpus-typo.jsonl"),
         ("sources", "path", "corpus-dir/"),  # a directory is not a source file
+        ("decontaminate", "eval_dir", "evals-empty/"),  # an eval dir with no .jsonl file
     ],
 )
 def test_a_bad_path_writes_nothing_to_the_run_dir(tmp_path, capsys, section, key, bad):
@@ -1446,6 +1447,18 @@ def test_cli_decontaminate_rejects_an_ngram_below_one(tmp_path, capsys, ngram):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--ngram" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "evals"]
+
+
+def test_cli_decontaminate_fails_closed_on_an_eval_dir_without_eval_files(tmp_path, capsys):
+    dataset = tmp_path / "data.jsonl"
+    write_jsonl(dataset, [{"record_id": "r1", "question": "Q", "answer": "A"}])
+    eval_dir = tmp_path / "evals"
+    eval_dir.mkdir()
+    (eval_dir / "notes.txt").write_text("not an eval file\n")
+    code = cli.main(["decontaminate", "--dataset", str(dataset), "--eval-dir", str(eval_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: eval dir holds no .jsonl file: {eval_dir}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "evals"]
 
 
