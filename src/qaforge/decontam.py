@@ -10,7 +10,8 @@ eval side and the query side, so tiny benchmark items remain detectable.
 The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
 searched with bisect. A run pins it in its run directory, so a resume screens
 against the same grams as the run's first candidates. A run builds it in a
-child process, `python -S -m qaforge.decontam EVAL_DIR N PATH` (IndexPin).
+child process, `python -S -m qaforge.decontam EVAL_DIR N PATH` (IndexPin). The
+run keeps its own threads on one CPU; the child runs on all of the caller's.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from operator import ne
@@ -221,13 +223,15 @@ class IndexPin:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
     The file is read if it is there. Else a child process builds the index from
-    eval_dir and writes the file, on a CPU the run's threads leave idle; without
-    an eval_dir the empty index is written here. A run pins the index at its
+    eval_dir and writes the file; without an eval_dir the empty index is written
+    here. The child starts on the run's one CPU and is moved to cpus, the
+    caller's, so it can use the ones the run leaves idle. A run pins the index at its
     first screen and a resume before any provider call, so every candidate of a
     run dir is screened against the same grams even if eval_dir changes.
     """
 
-    def __init__(self, run_dir: str, eval_dir: Optional[str], n: int):
+    def __init__(self, run_dir: str, eval_dir: Optional[str], n: int,
+                 cpus: Optional[set[int]] = None):
         self.path, self.n, self._child, self._error = os.path.join(run_dir, INDEX_FILE), n, None, ""
         if not eval_dir and not os.path.exists(self.path):
             write_index(NGramIndex(n=n), self.path)
@@ -241,6 +245,9 @@ class IndexPin:
             self._child = subprocess.Popen(
                 [sys.executable, "-S", "-m", "qaforge.decontam", eval_dir, str(n), self.path],
                 stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+            if cpus is not None:  # it starts on the run's one CPU, and stays there if this fails
+                with suppress(OSError):
+                    os.sched_setaffinity(self._child.pid, cpus)
 
     def result(self, wait: bool) -> Optional[NGramIndex]:
         """The pinned index; None while the build runs and wait is false; IngestError if it failed."""
@@ -254,10 +261,12 @@ class IndexPin:
         return read_index(self.path, self.n)
 
     def close(self) -> None:
-        """Kill and reap a build that is still running."""
+        """Kill and reap a build that is still running, and remove its tmp file."""
         if self._child is not None:
             self._child.kill()
             self._child.communicate()  # reaps it and closes its stderr
+            with suppress(FileNotFoundError):  # the build finished, or had not begun to write
+                os.remove(f"{self.path}.{self._child.pid}.tmp")
 
 
 if __name__ == "__main__":  # IndexPin's child: on failure, one `Type: message` line and exit 1

@@ -13,9 +13,11 @@ A run starts in a fixed order. Every config and path check, including that
 each source file opens and that the eval dir exists and each of its files
 opens, runs before the run directory is written. Then the run takes an
 exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
-dir; a second run or resume fails at once. A fresh run then writes
-config.json and starts the pool. The first candidate screened starts the eval
-index build in a child process (decontam.IndexPin). A document that reaches
+dir; a second run or resume fails at once. Until it ends, the run holds its
+calling thread, and so every thread it starts, to the CPU that thread is on.
+A fresh run then writes config.json and starts the pool. The first
+candidate screened starts the eval index build in a child process
+(decontam.IndexPin), which runs on all of the caller's CPUs. A document that reaches
 its screen before the index is pinned is parked, and submitted again once it
 is; its stage rows come back from the ledger, so that costs no provider call.
 A resume pins the index before any provider call.
@@ -37,7 +39,7 @@ import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterator, Optional
@@ -163,6 +165,7 @@ class _RunContext:
     ledger: RunLedger
     demos: DemoLibrary
     hook: Optional[StageHook] = None
+    cpus: Optional[set[int]] = None  # the caller's CPUs, while the run is held to one of them
     pin: Optional[IndexPin] = None
     _index: Optional[NGramIndex] = None
     _index_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -173,7 +176,7 @@ class _RunContext:
             if self._index is None:
                 if self.pin is None:
                     dcfg = self.cfg.decontaminate
-                    self.pin = IndexPin(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram)
+                    self.pin = IndexPin(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram, self.cpus)
                 self._index = self.pin.result(wait)
             return self._index
 
@@ -452,6 +455,31 @@ class RunReport:
 
 
 LOCK_FILE = "run.lock"
+THREAD_STAT = "/proc/thread-self/stat"  # field 39: the CPU the calling thread last ran on
+
+
+def _hold_to_one_cpu() -> Optional[set[int]]:
+    """Hold the calling thread, and every thread it starts, to the CPU it is on.
+
+    The run's threads take turns at the interpreter lock, so a second CPU only
+    adds hand-offs between CPUs. Returns the caller's own CPUs, to restore when
+    the run ends, or None when no pin is set: no sched_setaffinity (macOS), a
+    one-CPU caller, a CPU that cannot be read, or an OSError.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            return None
+        with open(THREAD_STAT, "rb") as fh:
+            cpu = int(fh.read().rpartition(b")")[2].split()[36])
+        if cpu not in cpus:
+            return None
+        os.sched_setaffinity(0, {cpu})
+    except (OSError, ValueError, IndexError):
+        return None
+    return cpus
 
 
 @contextmanager
@@ -508,7 +536,7 @@ def run_pipeline(
         if not resume and os.path.exists(snapshot_path):
             raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
         ctx = _RunContext(cfg=cfg, gateway=gw, ledger=RunLedger(run_dir), demos=demos,
-                          hook=on_stage_logged)
+                          hook=on_stage_logged, cpus=_hold_to_one_cpu())
         try:
             if resume:
                 ctx.eval_index(wait=True)
@@ -518,6 +546,9 @@ def run_pipeline(
                     fh.write("\n")
             return _drive(ctx, resume, start)
         finally:
+            if ctx.cpus is not None:
+                with suppress(OSError):
+                    os.sched_setaffinity(0, ctx.cpus)
             if ctx.pin is not None:
                 ctx.pin.close()
             ctx.ledger.close()

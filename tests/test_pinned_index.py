@@ -325,11 +325,20 @@ def test_parked_documents_cost_no_provider_call(tmp_path, monkeypatch, reference
 
 def test_an_abort_while_the_index_builds_leaves_no_child(tmp_path, monkeypatch):
     bundle = build_fixture(tmp_path)
-    # A build that would outlast the run: only the abort can end it.
-    children = spawn_spy(monkeypatch, lambda args: [args[0], "-c", "import time; time.sleep(60)"])
+    run_dir = bundle.root / "run"
+    # A build that would outlast the run: it opens its tmp file, as write_index
+    # does, and only the abort can end it.
+    stand_in = ("import os, sys, time; open(f'{sys.argv[1]}.{os.getpid()}.tmp', 'wb').close();"
+                " time.sleep(60)")
+    children = spawn_spy(monkeypatch, lambda args: [args[0], "-c", stand_in, args[-1]])
+    tmp_at_abort = []
 
     def hook(stage, item_id, outcome):
         if stage == "ingest" and children:
+            deadline = time.monotonic() + 10
+            while not list(run_dir.glob("*.tmp")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            tmp_at_abort.extend(p.name for p in run_dir.glob("*.tmp"))
             raise Interrupt()
 
     gw = counted_gateway(bundle, concurrency=1)[1]
@@ -339,6 +348,8 @@ def test_an_abort_while_the_index_builds_leaves_no_child(tmp_path, monkeypatch):
     assert child.returncode is not None  # killed and reaped
     with pytest.raises(ProcessLookupError):
         os.kill(child.pid, 0)
+    assert tmp_at_abort == [f"{INDEX_FILE}.{child.pid}.tmp"]
+    assert not list(run_dir.glob("*.tmp"))
 
 
 def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
