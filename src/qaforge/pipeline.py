@@ -22,10 +22,9 @@ its screen before the index is pinned is parked, and submitted again once it
 is; its stage rows come back from the ledger, so that costs no provider call.
 A resume pins the index before any provider call.
 
-Output ordering is deterministic by construction. Documents get sequence
-numbers in ingest order and results are drained in that order, so the dataset
-file is byte-identical across runs and across concurrency settings; only
-created_at timestamps differ between runs.
+Output ordering is deterministic by construction. The window writes records
+in ingest order, so the dataset file is byte-identical across runs and across
+concurrency settings; only created_at timestamps differ between runs.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ import statistics
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterator, Optional
 
@@ -554,11 +553,69 @@ def run_pipeline(
             ctx.ledger.close()
 
 
+class _Window:
+    """Writes records in ingest order. add() waits while over 4 x concurrency
+    documents run or hold records (a 2x window lets one slow head stall the
+    others), or over 64 windows are held; parked documents, and done ones without
+    records, count only toward the 64. A parked document keeps only its LLM text
+    and is submitted again once the index is pinned, polled every 5 ms meanwhile."""
+
+    def __init__(self, ctx: _RunContext, writer: _DatasetWriter):
+        self.ctx, self.writer = ctx, writer
+        self.pool = ThreadPoolExecutor(max_workers=ctx.gateway.concurrency)
+        self.size = 4 * ctx.gateway.concurrency
+        self.pending: deque[list] = deque()  # [document, records or exception once done]
+        self.parked: deque[list] = deque()  # pending entries whose document raised IndexPending
+        self.idle = 0  # done pending documents without records
+        self.cond = threading.Condition()
+
+    def add(self, doc: Document) -> None:
+        self.pending.append([doc, None])
+        self.pool.submit(self._process, self.pending[-1])
+        self.drain(last=False)
+
+    def _process(self, entry: list) -> None:
+        try:
+            result = _process_document(self.ctx, entry[0])
+        except BaseException as exc:  # the document's result, which drain raises in order
+            result = exc
+        with self.cond:
+            if isinstance(result, IndexPending):  # a second pass reads doc_id, source and cut text
+                doc = entry[0]
+                entry[0] = replace(doc, text=truncate_for_llm(doc.text, self.ctx.cfg.filter))
+                self.parked.append(entry)
+            else:  # keep the result and let the document go
+                entry[:] = None, result
+                self.idle += not result
+            self.cond.notify()
+
+    def drain(self, last: bool) -> None:
+        """Write head records and resubmit parked documents until add() may return."""
+        pending, parked = self.pending, self.parked
+        size, cap = (0, 0) if last else (self.size, 64 * self.size)  # the last drain empties it
+        with self.cond:
+            while True:
+                if pending and pending[0][1] is not None:
+                    records = pending.popleft()[1]
+                    if isinstance(records, BaseException):
+                        raise records  # once every document before it is written
+                    self.idle -= not records
+                    self.writer.append(records)
+                elif parked and self.ctx.eval_index(wait=False) is not None:
+                    while parked:
+                        self.pool.submit(self._process, parked.popleft())
+                elif len(pending) - len(parked) - self.idle <= size and len(pending) <= cap:
+                    return
+                else:
+                    self.cond.wait(timeout=0.005 if parked else None)
+
+
 def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
     """Run every document through the stages, then write the report."""
     cfg, gw, ledger = ctx.cfg, ctx.gateway, ctx.ledger
     run_dir = cfg.run.run_dir
     writer = _DatasetWriter(cfg.run.out, resume=resume)
+    window = _Window(ctx, writer)
     ingest_counts: Counter = Counter()  # (source, "kept" or drop reason), recounted each session
 
     def ingest_drop(source: str, key: str, reason: str) -> None:
@@ -566,73 +623,16 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         ingest_counts[source, reason] += 1
 
     try:
-        docs = dedup(sample_mixture(cfg.sources, ingest_drop), ingest_drop)
-        # Drain in submission order: output order never depends on which
-        # thread finished first. Ingest waits while more than 4x concurrency
-        # pending documents, not parked and not done without records, are
-        # running or unwritten, so memory does not grow with the corpus; a 2x
-        # window lets one slow head document stall the other threads.
         # Heuristic rejects yield no records, so skipping them keeps the order.
-        window = 4 * gw.concurrency
-        cap = 64 * window  # every pending document, parked ones included
-        pending: deque[list] = deque()  # [document, records or error once ready], in order
-        parked: list[list] = []  # pending entries whose future raised IndexPending
-        cond = threading.Condition()
-        idle = 0  # ready pending documents without records
-
-        def settle(entry: list, future: Future) -> None:
-            nonlocal idle
-            with cond:
-                exc = future.cancelled() or future.exception()  # True: cancelled by an abort
-                if isinstance(exc, IndexPending):
-                    parked.append(entry)
-                else:  # keep the result, not the future, and let the document go
-                    entry[:] = None, exc or future.result()
-                    idle += not entry[1]
-                cond.notify()
-
-        def submit(entry: list) -> None:
-            pool.submit(_process_document, ctx, entry[0]).add_done_callback(
-                lambda future: settle(entry, future))
-
-        def drain(enough: Callable[[], bool]) -> None:
-            """Write ready head documents, and submit parked ones again once the
-            index is pinned, until enough() holds."""
-            nonlocal idle
-            with cond:
-                while True:
-                    if pending and pending[0][1] is not None:
-                        records = pending.popleft()[1]
-                        if isinstance(records, BaseException):
-                            raise records
-                        idle -= not records
-                        writer.append(records)
-                    elif parked and ctx.eval_index(wait=False) is not None:
-                        for entry in parked:
-                            submit(entry)
-                        parked.clear()
-                    elif enough():
-                        return
-                    else:  # while documents are parked, the build is polled every 5 ms
-                        cond.wait(timeout=0.005 if parked else None)
-
-        with ThreadPoolExecutor(max_workers=gw.concurrency) as pool:
-            try:
-                for doc in docs:
-                    ctx.log("ingest", doc.doc_id, "pass")
-                    ingest_counts[doc.source, "kept"] += 1
-                    if not _needs_llm(ctx, doc):
-                        continue
-                    pending.append([doc, None])
-                    submit(pending[-1])
-                    drain(lambda: len(pending) - len(parked) - idle <= window and len(pending) <= cap)
-                drain(lambda: not pending)
-                writer.finish()
-            except BaseException:
-                # Queued documents must not start after an abort.
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
+        for doc in dedup(sample_mixture(cfg.sources, ingest_drop), ingest_drop):
+            ctx.log("ingest", doc.doc_id, "pass")
+            ingest_counts[doc.source, "kept"] += 1
+            if _needs_llm(ctx, doc):
+                window.add(doc)
+        window.drain(last=True)
+        writer.finish()
     finally:
+        window.pool.shutdown(cancel_futures=True)  # queued documents must not start after an abort
         writer.close()
 
     records_written = writer.count

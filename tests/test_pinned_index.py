@@ -12,9 +12,11 @@ import time
 import pytest
 
 from fixture_builder import build_fixture
+from test_pipeline import default_script, mini_config, prose
 
 from conftest import read_jsonl, write_jsonl
 from qaforge import cli, pipeline
+from qaforge.config import load_config
 from qaforge.decontam import (
     INDEX_FILE,
     IndexPin,
@@ -22,6 +24,7 @@ from qaforge.decontam import (
     build_index_from_dir,
     is_contaminated,
     read_index,
+    write_index,
 )
 from qaforge.errors import ConfigDriftError, IngestError
 from qaforge.gateway import Gateway, MockProvider, MockScript
@@ -321,6 +324,72 @@ def test_parked_documents_cost_no_provider_call(tmp_path, monkeypatch, reference
     assert provider.total_calls == 560 and dict(provider.calls) == reference["calls"]
     assert ledger_rows(bundle.root / "run", "decontaminate") == reference["decontaminate"]
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+
+
+def long_document_config(root, max_chars, concurrency):
+    """mini_config over 12 documents three times max_chars long, with an eval dir."""
+    root.mkdir()
+    cfg_path, _ = mini_config(root, concurrency=concurrency)
+    write_jsonl(root / "corpus.jsonl", [{"text": prose(i, 3 * max_chars)} for i in range(12)])
+    (root / "evals").mkdir()
+    write_jsonl(root / "evals" / "eval.jsonl", [{"text": "An eval text about tidal power."}])
+    cfg = load_config(str(cfg_path))
+    cfg.filter.max_chars = max_chars
+    cfg.decontaminate.eval_dir = str(root / "evals")
+    return cfg, Gateway(MockProvider(default_script()), concurrency=concurrency,
+                        sleep=lambda _s: None)
+
+
+def test_parked_documents_keep_only_their_llm_text(tmp_path, monkeypatch):
+    max_chars, concurrency = 1000, 2
+    window, ref, held = 4 * concurrency, tmp_path / "ref", tmp_path / "held"
+    lengths, parked, released = {}, [], threading.Event()
+    process = pipeline._process_document
+
+    def recording_process(ctx, doc):
+        lengths.setdefault(doc.doc_id, []).append(len(doc.text))
+        try:
+            return process(ctx, doc)
+        except pipeline.IndexPending:
+            parked.append(doc.doc_id)
+            if len(parked) >= window:
+                released.set()
+            raise
+
+    class HeldChild(subprocess.Popen):
+        """The build child, seen as running until a window of documents is parked."""
+
+        def poll(self):
+            return super().poll() if released.is_set() else None
+
+        def wait(self, timeout=None):
+            released.wait(timeout=30)
+            return super().wait(timeout)
+
+    monkeypatch.setattr(pipeline, "_process_document", recording_process)
+    # The reference run finds its index pinned before it starts, so nothing parks.
+    ref_cfg, ref_gw = long_document_config(ref, max_chars, concurrency)
+    os.makedirs(ref_cfg.run.run_dir)
+    write_index(build_index_from_dir(ref_cfg.decontaminate.eval_dir, 13),
+                os.path.join(ref_cfg.run.run_dir, INDEX_FILE))
+    run_pipeline(ref_cfg, gateway=ref_gw)
+    assert not parked
+
+    lengths.clear()
+    monkeypatch.setattr(subprocess, "Popen", HeldChild)
+    cfg, gw = long_document_config(held, max_chars, concurrency)
+    report = within(60, lambda: run_pipeline(cfg, gateway=gw))["value"]
+
+    assert len(parked) >= window and len(set(parked)) == len(parked)
+    for doc_id in parked:  # the second pass sees only the text the LLM stages read
+        assert lengths[doc_id] == [3 * max_chars, max_chars]
+    assert report.funnel_consistent, report.funnel_problems
+    assert sans_created_at(read_jsonl(held / "records.jsonl")) == sans_created_at(
+        read_jsonl(ref / "records.jsonl"))
+    stages = sorted(path.stem for path in (ref / "run" / "ledgers").glob("*.jsonl"))
+    assert stages == sorted(path.stem for path in (held / "run" / "ledgers").glob("*.jsonl"))
+    for stage in stages:
+        assert ledger_rows(held / "run", stage) == ledger_rows(ref / "run", stage), stage
 
 
 def test_an_abort_while_the_index_builds_leaves_no_child(tmp_path, monkeypatch):

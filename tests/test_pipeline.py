@@ -8,12 +8,13 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
 
 import qaforge
-from qaforge import cli
+from qaforge import cli, pipeline
 from qaforge.config import (
     canonical_json,
     config_from_dict,
@@ -964,6 +965,46 @@ def test_ingest_stays_a_bounded_window_ahead_of_the_writer(tmp_path):
     assert ingested_while_blocked <= 4 * c + 1
     assert result["report"].records_written == n_docs
     assert result["report"].funnel_consistent, result["report"].funnel_problems
+
+
+def test_an_abort_starts_no_document_queued_behind_a_busy_worker(tmp_path, monkeypatch):
+    cfg_path, _ = mini_config(tmp_path, n_docs=3, concurrency=1)
+    mock = MockProvider(default_script())
+    entered, release, sent = threading.Event(), threading.Event(), []
+
+    class BlockFirstDocument:
+        def send(self, req):
+            sent.append(req.user)
+            if "Plant 0 " in req.user:
+                entered.set()
+                release.wait(timeout=30)
+            return mock.send(req)
+
+    class ReleasingPool(ThreadPoolExecutor):
+        """Lets the busy worker go once the abort has cancelled what is queued."""
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    class Abort(BaseException):
+        pass
+
+    ingested = []
+
+    def hook(stage, item_id, outcome):
+        if stage == "ingest":
+            ingested.append(item_id)
+            if len(ingested) == 3:  # the first document is on the worker, the second queued
+                assert entered.wait(timeout=10)
+                raise Abort()
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", ReleasingPool)
+    gw = Gateway(BlockFirstDocument(), concurrency=1)
+    with pytest.raises(Abort):
+        run_pipeline(load_config(str(cfg_path)), gateway=gw, on_stage_logged=hook)
+    assert sent and all("Plant 0 " in user for user in sent)
 
 
 # ---------------------------------------------------------------- heuristic gate
