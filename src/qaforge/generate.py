@@ -53,6 +53,7 @@ class DemoLibrary:
         self._by_domain: dict[Domain, list[DemoExample]] = {}
         for demo in self.demos:
             self._by_domain.setdefault(demo.domain, []).append(demo)
+        self._drawn: dict[tuple[Domain, int, int], tuple[DemoExample, ...]] = {}
 
     @classmethod
     def load(cls, path: Optional[str] = None) -> "DemoLibrary":
@@ -83,22 +84,24 @@ class DemoLibrary:
             )
         return cls(demos)
 
-    def sample_demos(self, domain: Domain, k: int, seed: int) -> list[DemoExample]:
-        """Deterministic k-demo draw for a domain, topped up from GENERAL when thin."""
+    def sample_demos(self, domain: Domain, k: int, seed: int) -> Sequence[DemoExample]:
+        """Deterministic k-demo draw for a domain, topped up from GENERAL when thin; one tuple per key."""
         if k <= 0:
             return []
-        rng = random.Random(f"demos:{seed}:{domain.value}")
-        pool = list(self._by_domain.get(domain, []))
-        picked = rng.sample(pool, min(k, len(pool)))
-        if len(picked) < k and domain != Domain.GENERAL:
-            chosen_ids = {d.demo_id for d in picked}
-            backup = [d for d in self._by_domain.get(Domain.GENERAL, []) if d.demo_id not in chosen_ids]
-            picked += rng.sample(backup, min(k - len(picked), len(backup)))
-        return picked
+        if (domain, k, seed) not in self._drawn:
+            rng = random.Random(f"demos:{seed}:{domain.value}")
+            pool = self._by_domain.get(domain, [])
+            picked = rng.sample(pool, min(k, len(pool)))
+            if len(picked) < k and domain != Domain.GENERAL:
+                chosen = {d.demo_id for d in picked}
+                backup = [d for d in self._by_domain.get(Domain.GENERAL, []) if d.demo_id not in chosen]
+                picked += rng.sample(backup, min(k - len(picked), len(backup)))
+            self._drawn[domain, k, seed] = tuple(picked)
+        return self._drawn[domain, k, seed]
 
 
 def build_generate_request(
-    llm_text: str, persona: Persona, demos: list[DemoExample], cfg: GenerateConfig
+    llm_text: str, persona: Persona, demos: Sequence[DemoExample], cfg: GenerateConfig
 ) -> ChatRequest:
     user = prompts.GENERATE_TEMPLATE.format(
         few_shot=prompts.few_shot_block(demos), document=llm_text, persona=persona.label)
@@ -111,7 +114,7 @@ def generate_qa(
     doc: Document,
     domain: Domain,
     persona: Persona,
-    demos: list[DemoExample],
+    demos: Sequence[DemoExample],
     gateway: Gateway,
     cfg: GenerateConfig,
 ) -> CandidateQA:

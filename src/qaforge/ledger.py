@@ -15,8 +15,8 @@ processing safe. A torn final line from a crash is skipped on load and cut
 off before the next append; the item simply gets reprocessed.
 
 An append reserves its line's byte range under the lock (duplicate check,
-json.dumps, advance the stage's end), writes it with os.pwrite with no lock
-held, then publishes the row under the lock; a log of an id being written
+JSON_LINE.encode, advance the stage's end), writes it with os.pwrite with no
+lock held, then publishes the row under the lock; a log of an id being written
 waits for that row, then returns False. A process killed before its write
 leaves NUL bytes where the line belongs, and JSON lines hold no raw NUL, so
 on load a line's row is the bytes after its last NUL.
@@ -24,14 +24,13 @@ on load a line's row is the bytes after its last NUL.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 from collections import Counter
 from typing import Any, Iterator, Optional
 
-from .types import BAD_LINE, json_object
+from .types import BAD_LINE, JSON_LINE, json_object
 
 STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
 
@@ -151,11 +150,11 @@ class RunLedger:
             self._published.wait_for(lambda: item_id not in reserved)
             if item_id in rows:
                 return False
-            # Serialised under the lock on purpose: with json.dumps outside it,
+            # Serialised under the lock on purpose: with the encode outside it,
             # a worker that is about to block on the lock first holds the
             # interpreter lock for the whole dump, and the ingest thread of a
             # CPU-bound run waits on it (measured on the cpu_bulk benchmark).
-            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+            line = (JSON_LINE.encode(entry) + "\n").encode("utf-8")
             fd, offset = self._file(stage), self._ends[stage]
             self._ends[stage] = offset + len(line)
             reserved.add(item_id)

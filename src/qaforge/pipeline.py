@@ -15,11 +15,13 @@ opens, runs before the run directory is written. Then the run takes an
 exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
 dir; a second run or resume fails at once. Until it ends, the run holds its
 calling thread, and so every thread it starts, to the CPU that thread is on.
-A fresh run then writes config.json and starts the pool. The first
-candidate screened starts the eval index build in a child process
-(decontam.IndexPin), which runs on all of the caller's CPUs. A document that reaches
-its screen before the index is pinned is parked, and submitted again once it
-is; its stage rows come back from the ledger, so that costs no provider call.
+A fresh run then writes config.json and starts the pool. A document runs its
+LLM phase (filter, classify, generate and verify per persona), then its screen
+(decontaminate, distill, records). The first verified candidate starts the eval
+index build in a child process (decontam.IndexPin), on all of the caller's CPUs.
+Until the index is pinned, a document with verified candidates lets its text go
+and parks only its screen (the candidates and the max_chars cut), which is
+submitted again once it is pinned, with no ledger read and no provider call.
 A resume pins the index before any provider call.
 
 Output ordering is deterministic by construction. The window writes records
@@ -39,8 +41,9 @@ import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from typing import Any, Callable, Iterator, Optional
 
 from .classify import NoPersonasError, classify_and_assign
@@ -66,6 +69,7 @@ from .ingest import _source_files, dedup, ingest_summary, sample_mixture
 from .ledger import RunLedger, make_entry
 from .types import (
     BAD_LINE,
+    JSON_LINE,
     PIPELINE_VERSION,
     CandidateQA,
     Document,
@@ -117,7 +121,7 @@ class _DatasetWriter:
                 if not self._skip and rec["record_id"] != _record_id(self._last):
                     self._drift(f"line {self.count} is not record {rec['record_id']}")
                 continue
-            line = json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+            line = JSON_LINE.encode(rec) + "\n"
             self._fh.write(line.encode("utf-8"))
             self.count += 1
         self._fh.flush()
@@ -195,9 +199,8 @@ class _RunContext:
         An exception in DROP_REASONS is logged as a drop carrying drop_data;
         any other exception propagates with nothing logged.
         """
-        entry = self.ledger.get(stage, item_id)
-        if entry is not None:
-            return entry
+        if self.ledger.outcome(stage, item_id) is not None:
+            return self.ledger.get(stage, item_id)  # type: ignore[return-value]
         try:
             outcome, reason, data, fingerprint = compute()
         except tuple(DROP_REASONS) as exc:
@@ -255,14 +258,11 @@ def _verify(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
 
 
 class IndexPending(Exception):
-    """A candidate reached its screen before the eval index was pinned; memo logs nothing."""
+    """A document's LLM phase ended before the eval index was pinned; args[0] is its screen."""
 
 
 def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
-    index = ctx.eval_index(wait=False)
-    if index is None:
-        raise IndexPending()
-    report = is_contaminated(qa.question, qa.answer, index)
+    report = is_contaminated(qa.question, qa.answer, ctx.eval_index(wait=False))
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
@@ -279,6 +279,7 @@ def _distill(ctx: _RunContext, llm_text: str, qa: CandidateQA) -> StageResult:
 
 
 def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
+    """filter, classify, generate and verify per persona; then the screen, or IndexPending(screen)."""
     cfg = ctx.cfg
     llm_text = truncate_for_llm(doc.text, cfg.filter)
     truncated = len(doc.text) > cfg.filter.max_chars
@@ -294,32 +295,36 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
     domain = Domain(centry["data"]["domain"])
     personas = [Persona(label=p["label"], rank=p["rank"]) for p in centry["data"]["personas"]]
 
-    records: list[dict] = []
+    verified: list[CandidateQA] = []
     for persona in personas:
         item_id = f"{doc.doc_id}:p{persona.rank}"
         gentry = ctx.memo("generate", item_id,
                           lambda: _generate(ctx, doc, llm_text, domain, persona))
         if gentry["outcome"] != "pass":
             continue
-        qa = CandidateQA(
-            doc_id=doc.doc_id,
-            domain=domain,
-            persona=persona,
-            question=gentry["data"]["question"],
-            answer=gentry["data"]["answer"],
-            few_shot_ids=gentry["data"]["few_shot_ids"],
-            gen_fingerprint=gentry["fingerprint"],
-        )
+        qa = CandidateQA(doc_id=doc.doc_id, domain=domain, persona=persona,
+                         gen_fingerprint=gentry["fingerprint"], **gentry["data"])
         ventry = ctx.memo("verify", item_id, lambda: _verify(ctx, llm_text, qa))
-        if ventry["outcome"] != "pass":
-            continue
+        if ventry["outcome"] == "pass":
+            verified.append(qa)
+    screen = partial(_screen, ctx, doc.source, llm_text, fentry["data"], len(personas), verified)
+    if verified and ctx.eval_index(wait=False) is None:
+        raise IndexPending(screen)
+    return screen()
+
+
+def _screen(ctx: _RunContext, source: str, llm_text: str, fdata: dict, personas: int,
+            verified: list[CandidateQA]) -> list[dict]:
+    """Decontaminate, distill, records: given no Document, and of its text only the cut."""
+    records: list[dict] = []
+    for qa in verified:
+        item_id = f"{qa.doc_id}:p{qa.persona.rank}"
         dentry = ctx.memo("decontaminate", item_id, lambda: _decontaminate(ctx, qa))
         if dentry["outcome"] != "pass":
             continue
         audit = {
-            "filter": {"outcome": "pass", "phase": fentry["data"].get("phase", "llm"),
-                       "truncated": fentry["data"].get("truncated", False)},
-            "classify": {"outcome": "pass", "domain": domain.value, "personas": len(personas)},
+            "filter": {"outcome": "pass", "phase": "llm", "truncated": False, **fdata},
+            "classify": {"outcome": "pass", "domain": qa.domain.value, "personas": personas},
             "generate": {"outcome": "pass", "fingerprint": qa.gen_fingerprint,
                          "few_shot_ids": qa.few_shot_ids},
             "verify": {"outcome": "pass", "correct": True, "leaked": False},
@@ -327,17 +332,17 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
                               "matched_grams": dentry["data"]["matched_gram_count"]},
         }
         explanation = None
-        if cfg.generate.sft_distill:
+        if ctx.cfg.generate.sft_distill:
             tentry = ctx.memo("distill", item_id, lambda: _distill(ctx, llm_text, qa))
             explanation = tentry["data"].get("explanation")
             audit["distill"] = {"outcome": "pass", "explained": explanation is not None}
-        record_id = make_record_id(doc.doc_id, persona.rank, qa.question)
+        record_id = make_record_id(qa.doc_id, qa.persona.rank, qa.question)
         records.append({
             "record_id": record_id,
-            "doc_id": doc.doc_id,
-            "source": doc.source,
-            "domain": domain.value,
-            "persona": {"label": persona.label, "rank": persona.rank},
+            "doc_id": qa.doc_id,
+            "source": source,
+            "domain": qa.domain.value,
+            "persona": {"label": qa.persona.label, "rank": qa.persona.rank},
             "question": qa.question,
             "answer": qa.answer,
             "explanation": explanation,
@@ -556,33 +561,32 @@ def run_pipeline(
 class _Window:
     """Writes records in ingest order. add() waits while over 4 x concurrency
     documents run or hold records (a 2x window lets one slow head stall the
-    others), or over 64 windows are held; parked documents, and done ones without
-    records, count only toward the 64. A parked document keeps only its LLM text
-    and is submitted again once the index is pinned, polled every 5 ms meanwhile."""
+    others), or over 64 windows are held; parked screens, and done documents
+    without records, count only toward the 64. A parked screen runs again once
+    the index is pinned, polled every 5 ms meanwhile; its document is gone."""
 
     def __init__(self, ctx: _RunContext, writer: _DatasetWriter):
         self.ctx, self.writer = ctx, writer
         self.pool = ThreadPoolExecutor(max_workers=ctx.gateway.concurrency)
         self.size = 4 * ctx.gateway.concurrency
-        self.pending: deque[list] = deque()  # [document, records or exception once done]
-        self.parked: deque[list] = deque()  # pending entries whose document raised IndexPending
+        self.pending: deque[list] = deque()  # [phase to run, records or exception once done]
+        self.parked: deque[list] = deque()  # pending entries whose phase is a parked screen
         self.idle = 0  # done pending documents without records
         self.cond = threading.Condition()
 
     def add(self, doc: Document) -> None:
-        self.pending.append([doc, None])
+        self.pending.append([partial(_process_document, self.ctx, doc), None])
         self.pool.submit(self._process, self.pending[-1])
         self.drain(last=False)
 
     def _process(self, entry: list) -> None:
         try:
-            result = _process_document(self.ctx, entry[0])
+            result = entry[0]()
         except BaseException as exc:  # the document's result, which drain raises in order
             result = exc
         with self.cond:
-            if isinstance(result, IndexPending):  # a second pass reads doc_id, source and cut text
-                doc = entry[0]
-                entry[0] = replace(doc, text=truncate_for_llm(doc.text, self.ctx.cfg.filter))
+            if isinstance(result, IndexPending):  # the document goes; its screen phase waits
+                entry[0] = result.args[0]
                 self.parked.append(entry)
             else:  # keep the result and let the document go
                 entry[:] = None, result
@@ -590,7 +594,7 @@ class _Window:
             self.cond.notify()
 
     def drain(self, last: bool) -> None:
-        """Write head records and resubmit parked documents until add() may return."""
+        """Write head records and resubmit parked screens until add() may return."""
         pending, parked = self.pending, self.parked
         size, cap = (0, 0) if last else (self.size, 64 * self.size)  # the last drain empties it
         with self.cond:

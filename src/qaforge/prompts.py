@@ -13,6 +13,8 @@ tests/test_golden_requests.py pins those fingerprints to literal values.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .gateway import ChatRequest, StageTag
 from .types import DOMAIN_LABELS, DemoExample
 
@@ -137,7 +139,7 @@ LEAKAGE: yes
 RATIONALE: The question states the founding year, so the answer can be read directly from the question."""
 
 
-def few_shot_block(demos: list[DemoExample]) -> str:
+def few_shot_block(demos: Sequence[DemoExample]) -> str:
     blocks = [f"Example {i}:\nQuestion: {d.question}\nAnswer: {d.answer}"
               for i, d in enumerate(demos, 1)]
     return "\n\n".join(blocks) if blocks else "(no examples)"

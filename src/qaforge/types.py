@@ -150,6 +150,8 @@ def make_record_id(doc_id: str, persona_rank: int, question: str) -> str:
 
 # What json_object, and so line_fields, raises on a line it cannot use.
 BAD_LINE = (ValueError, RecursionError)
+# Writes ledger rows and dataset lines; json.dumps with these flags makes an encoder per call.
+JSON_LINE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 def json_object(raw: str | bytes) -> dict[str, Any]:

@@ -82,6 +82,14 @@ def test_sample_demos_deterministic():
     assert all(d.domain is Domain.SCIENCE for d in a)
 
 
+def test_sample_demos_draws_each_key_once():
+    lib = DemoLibrary.load(None)
+    first = lib.sample_demos(Domain.CODE, 4, seed=3)
+    assert isinstance(first, tuple)  # shared by every caller, so no caller can change it
+    assert lib.sample_demos(Domain.CODE, 4, seed=3) is first
+    assert lib.sample_demos(Domain.CODE, 4, seed=4) is not first
+
+
 def test_sample_demos_zero_k():
     assert DemoLibrary.load(None).sample_demos(Domain.MATH, 0, seed=1) == []
 

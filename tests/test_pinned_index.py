@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import types
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -28,6 +32,7 @@ from qaforge.decontam import (
 )
 from qaforge.errors import ConfigDriftError, IngestError
 from qaforge.gateway import Gateway, MockProvider, MockScript
+from qaforge.ledger import RunLedger
 from qaforge.pipeline import _RunContext, resume_run, run_pipeline
 from qaforge.types import SourceSpec
 
@@ -166,9 +171,9 @@ def test_run_without_eval_dir_pins_an_empty_index(tmp_path):
     assert read_index(str(path), 13) == build_index([], 13)
 
 
-# The first candidate screened starts the index build in a child process. A
-# document that reaches its screen before the index is pinned is parked and
-# submitted again once it is.
+# The first verified candidate starts the index build in a child process. A
+# document whose LLM phase ends before the index is pinned parks its screen
+# phase, which is submitted again once it is.
 
 
 def within(seconds, fn):
@@ -288,6 +293,35 @@ def test_the_index_child_imports_only_the_index_code(tmp_path, monkeypatch):
     assert [p.name for p in run_dir.iterdir()] == [INDEX_FILE]  # no tmp file left
 
 
+def hold_the_build(monkeypatch, released):
+    """Make the build child look as if it runs until released is set."""
+
+    class HeldChild(subprocess.Popen):
+        def poll(self):
+            return super().poll() if released.is_set() else None
+
+        def wait(self, timeout=None):
+            released.wait(timeout=30)
+            return super().wait(timeout)
+
+    monkeypatch.setattr(subprocess, "Popen", HeldChild)
+
+
+def held_strings(screen):
+    """Every str a parked screen holds, short of the run context it shares with the run."""
+    seen, todo, found = set(), [screen], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (_RunContext, type, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.append(obj)
+        else:
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
 @pytest.mark.parametrize("concurrency", [1, 4, 16])
 def test_parked_documents_cost_no_provider_call(tmp_path, monkeypatch, reference, concurrency):
     bundle = build_fixture(tmp_path)
@@ -305,24 +339,70 @@ def test_parked_documents_cost_no_provider_call(tmp_path, monkeypatch, reference
                 released.set()
             raise
 
-    class HeldChild(subprocess.Popen):
-        """The build child, seen as running until a window of documents is parked."""
-
-        def poll(self):
-            return super().poll() if released.is_set() else None
-
-        def wait(self, timeout=None):
-            released.wait(timeout=30)
-            return super().wait(timeout)
-
     monkeypatch.setattr(pipeline, "_process_document", parking_process)
-    monkeypatch.setattr(subprocess, "Popen", HeldChild)
+    hold_the_build(monkeypatch, released)
     report = within(60, lambda: run_pipeline(bundle.config(), gateway=gw))["value"]
 
     assert len(parked) >= window
     assert report.funnel_consistent, report.funnel_problems
     assert provider.total_calls == 560 and dict(provider.calls) == reference["calls"]
     assert ledger_rows(bundle.root / "run", "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+
+
+@pytest.mark.parametrize("concurrency", [1, 4, 16])
+def test_parked_screens_follow_every_llm_stage_and_read_no_ledger_row(tmp_path, monkeypatch,
+                                                                      reference, concurrency):
+    bundle = build_fixture(tmp_path)
+    cfg = bundle.config()
+    provider, gw = counted_gateway(bundle, concurrency)
+    window, released, screening = 4 * concurrency, threading.Event(), threading.local()
+    events, held, screened, in_screens = [], {}, [], Counter()
+    process, get, send = pipeline._process_document, RunLedger.get, provider.send
+
+    def counted_screen(screen, doc_id):
+        screening.on = True
+        try:
+            return screen()
+        finally:
+            screening.on = False
+            screened.append(doc_id)
+
+    def parking_process(ctx, doc):
+        try:
+            return process(ctx, doc)
+        except pipeline.IndexPending as exc:
+            screen = exc.args[0]
+        held[doc.doc_id] = held_strings(screen)
+        if len(held) >= window:
+            released.set()
+        raise pipeline.IndexPending(partial(counted_screen, screen, doc.doc_id))
+
+    def counted(what, fn):
+        def call(*args):
+            if getattr(screening, "on", False):
+                in_screens[what] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(pipeline, "_process_document", parking_process)
+    monkeypatch.setattr(RunLedger, "get", counted("get", get))
+    provider.send = counted("send", send)
+    hold_the_build(monkeypatch, released)
+    hook = lambda stage, item_id, outcome: events.append((stage, item_id.split(":")[0]))
+    report = within(60, lambda: run_pipeline(cfg, gateway=gw, on_stage_logged=hook))["value"]
+
+    assert len(held) >= window and sorted(screened) == sorted(held)
+    assert in_screens == Counter()  # no RunLedger.get and no provider call from a parked screen
+    assert all(max(map(len, strings)) <= cfg.filter.max_chars for strings in held.values())
+    screened_docs = {doc_id for stage, doc_id in events if stage == "decontaminate"}
+    assert set(held) <= screened_docs
+    for doc_id in screened_docs:  # every LLM row of a document comes before its first screen
+        order = [stage for stage, d in events if d == doc_id]
+        first = order.index("decontaminate")
+        assert {"generate", "verify"} & set(order[first:]) == set(), (doc_id, order)
+    assert report.funnel_consistent, report.funnel_problems
+    assert provider.total_calls == 560 and dict(provider.calls) == reference["calls"]
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
 
 
@@ -343,28 +423,18 @@ def long_document_config(root, max_chars, concurrency):
 def test_parked_documents_keep_only_their_llm_text(tmp_path, monkeypatch):
     max_chars, concurrency = 1000, 2
     window, ref, held = 4 * concurrency, tmp_path / "ref", tmp_path / "held"
-    lengths, parked, released = {}, [], threading.Event()
+    lengths, parked, released = {}, {}, threading.Event()
     process = pipeline._process_document
 
     def recording_process(ctx, doc):
         lengths.setdefault(doc.doc_id, []).append(len(doc.text))
         try:
             return process(ctx, doc)
-        except pipeline.IndexPending:
-            parked.append(doc.doc_id)
+        except pipeline.IndexPending as exc:
+            parked[doc.doc_id] = held_strings(exc.args[0])
             if len(parked) >= window:
                 released.set()
             raise
-
-    class HeldChild(subprocess.Popen):
-        """The build child, seen as running until a window of documents is parked."""
-
-        def poll(self):
-            return super().poll() if released.is_set() else None
-
-        def wait(self, timeout=None):
-            released.wait(timeout=30)
-            return super().wait(timeout)
 
     monkeypatch.setattr(pipeline, "_process_document", recording_process)
     # The reference run finds its index pinned before it starts, so nothing parks.
@@ -376,13 +446,14 @@ def test_parked_documents_keep_only_their_llm_text(tmp_path, monkeypatch):
     assert not parked
 
     lengths.clear()
-    monkeypatch.setattr(subprocess, "Popen", HeldChild)
+    hold_the_build(monkeypatch, released)
     cfg, gw = long_document_config(held, max_chars, concurrency)
     report = within(60, lambda: run_pipeline(cfg, gateway=gw))["value"]
 
-    assert len(parked) >= window and len(set(parked)) == len(parked)
-    for doc_id in parked:  # the second pass sees only the text the LLM stages read
-        assert lengths[doc_id] == [3 * max_chars, max_chars]
+    assert len(parked) >= window
+    assert all(seen == [3 * max_chars] for seen in lengths.values())  # each document runs once
+    for strings in parked.values():  # a parked screen holds the max_chars cut, not the document
+        assert max(map(len, strings)) == max_chars
     assert report.funnel_consistent, report.funnel_problems
     assert sans_created_at(read_jsonl(held / "records.jsonl")) == sans_created_at(
         read_jsonl(ref / "records.jsonl"))

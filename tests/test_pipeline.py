@@ -54,6 +54,7 @@ from qaforge.pipeline import (
 from qaforge.types import Document
 
 from conftest import read_jsonl, write_jsonl
+from fixture_builder import build_fixture
 from test_gateway import FakeClock, FakeHTTPResponse, FlakyProvider
 
 
@@ -555,6 +556,22 @@ def test_write_rows_hold_ids_only(tmp_path):
     assert sorted((e["item_id"], e["outcome"], e["data"]) for e in rows) == sorted(
         (r["record_id"], "pass", {}) for r in read_jsonl(tmp_path / "records.jsonl")
     )
+
+
+def test_ledger_rows_and_dataset_lines_are_the_bytes_of_json_dumps(tmp_path):
+    # Both are written by the one shared encoder, types.JSON_LINE.
+    bundle = build_fixture(tmp_path)
+    provider = MockProvider(MockScript.load(str(bundle.mock_path)))
+    run_pipeline(bundle.config(), gateway=Gateway(provider, concurrency=4, sleep=lambda _s: None))
+    ledgers = sorted((bundle.root / "run" / "ledgers").glob("*.jsonl"))
+    counts = {}
+    for path in [bundle.root / "records.jsonl", *ledgers]:
+        lines = path.read_bytes().splitlines(keepends=True)
+        for raw in lines:
+            dumped = json.dumps(json.loads(raw), ensure_ascii=False, sort_keys=True) + "\n"
+            assert raw == dumped.encode("utf-8"), path.name
+        counts[path.stem] = len(lines)
+    assert counts["records"] == 155 and sum(counts.values()) > 1000, counts
 
 
 def test_resume_after_a_source_edit_refuses_to_mix_datasets(tmp_path, capsys):

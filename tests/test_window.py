@@ -11,15 +11,13 @@ import random
 import sys
 import threading
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from qaforge import pipeline
-from qaforge.config import FilterConfig
 from qaforge.types import Document
-
-MAX_CHARS = 50
 
 
 class FakeContext:
@@ -27,7 +25,6 @@ class FakeContext:
 
     def __init__(self, concurrency):
         self.gateway = SimpleNamespace(concurrency=concurrency)
-        self.cfg = SimpleNamespace(filter=FilterConfig(max_chars=MAX_CHARS))
         self.pinned = threading.Event()
 
     def eval_index(self, wait):
@@ -160,12 +157,17 @@ def test_documents_done_without_records_are_not_counted(monkeypatch, concurrency
 
 def test_add_blocks_at_the_cap_while_every_document_is_parked(monkeypatch):
     cap = 64 * 4  # concurrency 1
-    calls = []
+    calls, screens, screened = [], {}, []
+
+    def screen(doc_id):
+        screened.append(doc_id)
+        return [doc_id]
 
     def process(ctx, doc):
         calls.append(doc.doc_id)
         if ctx.eval_index(wait=False) is None:
-            raise pipeline.IndexPending()
+            screens[doc.doc_id] = partial(screen, doc.doc_id)
+            raise pipeline.IndexPending(screens[doc.doc_id])
         return [doc.doc_id]
 
     monkeypatch.setattr(pipeline, "_process_document", process)
@@ -175,13 +177,16 @@ def test_add_blocks_at_the_cap_while_every_document_is_parked(monkeypatch):
         wait_for(lambda: len(added) == cap and len(calls) == cap + 1)
         time.sleep(0.1)
         assert len(added) == cap  # the next add() waits: every held document is parked
-        assert len(window.parked) == cap + 1
+        assert len(window.parked) == cap + 1 and not screened
+        # A parked entry holds its screen and nothing of the document.
+        assert [entry[0] for entry in window.parked] == list(screens.values())
+        assert all(entry[1] is None for entry in window.parked)
     finally:
         window.ctx.pinned.set()
     joined(thread)
     assert not raised and written == [str(i) for i in range(cap + 10)]
-    assert sorted(calls, key=int) == [str(i) for i in range(cap + 1) for _ in "12"] + [
-        str(i) for i in range(cap + 1, cap + 10)]
+    assert sorted(calls, key=int) == [str(i) for i in range(cap + 10)]  # each document runs once
+    assert sorted(screened, key=int) == [str(i) for i in range(cap + 1)]  # each parked screen once
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -190,13 +195,20 @@ def test_parked_documents_are_submitted_again_once_after_the_index_is_pinned(mon
     n, pin_at = 60, 30
     lock, calls = threading.Lock(), {}
 
+    def record(doc_id, what, pinned):
+        with lock:
+            calls.setdefault(doc_id, []).append((what, pinned))
+
+    def screen(ctx, doc_id):
+        record(doc_id, "screen", ctx.eval_index(wait=False) is not None)
+        return [doc_id]
+
     def process(ctx, doc):
         pinned = ctx.eval_index(wait=False) is not None
-        with lock:
-            calls.setdefault(doc.doc_id, []).append((pinned, len(doc.text)))
+        record(doc.doc_id, "document", pinned)
         time.sleep(0.0005)
         if not pinned:
-            raise pipeline.IndexPending()
+            raise pipeline.IndexPending(partial(screen, ctx, doc.doc_id))
         return [doc.doc_id]
 
     def pin_at_doc(doc):
@@ -205,16 +217,16 @@ def test_parked_documents_are_submitted_again_once_after_the_index_is_pinned(mon
 
     monkeypatch.setattr(pipeline, "_process_document", process)
     window, written = make_window(concurrency, pinned=False)
-    _, raised, thread = feed(window, docs(n, chars=10 * MAX_CHARS), pin_at_doc)
+    _, raised, thread = feed(window, docs(n), pin_at_doc)
     joined(thread)
     assert not raised and written == [str(i) for i in range(n)]
-    parked = [i for i, seen in calls.items() if not seen[0][0]]
+    parked = [i for i, seen in calls.items() if not seen[0][1]]
     assert len(parked) >= pin_at - 4 * concurrency  # add() returned with at most 4 x c unparked
     for doc_id, seen in calls.items():
-        if doc_id in parked:  # parked once, then run again on its LLM text alone
-            assert seen == [(False, 10 * MAX_CHARS), (True, MAX_CHARS)]
+        if doc_id in parked:  # run once, then only its screen, once, after the pin
+            assert seen == [("document", False), ("screen", True)]
         else:
-            assert seen == [(True, 10 * MAX_CHARS)]
+            assert seen == [("document", True)]
 
 
 @pytest.mark.parametrize("concurrency", [1, 4, 16])
