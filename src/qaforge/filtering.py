@@ -37,7 +37,7 @@ def truncate_for_llm(text: str, cfg: FilterConfig) -> str:
 
 def heuristic_filter(doc: Document, cfg: FilterConfig) -> FilterVerdict:
     text = doc.text.strip()
-    if len(text) < cfg.min_chars:
+    if not text or len(text) < cfg.min_chars:  # min_chars may be 0
         return FilterVerdict(qualified=False, reason=FilterReason.TOO_SHORT, phase="heuristic")
     if count_alnum(text) / len(text) < cfg.min_alpha:
         return FilterVerdict(qualified=False, reason=FilterReason.LOW_ALPHA, phase="heuristic")

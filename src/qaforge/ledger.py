@@ -14,12 +14,12 @@ False instead of appending a second row, which is what makes at-least-once
 processing safe. A torn final line from a crash is skipped on load and cut
 off before the next append; the item simply gets reprocessed.
 
-An append reserves its line's byte range under the lock (duplicate check,
-JSON_LINE.encode, advance the stage's end), writes it with os.pwrite with no
-lock held, then publishes the row under the lock; a log of an id being written
-waits for that row, then returns False. A process killed before its write
-leaves NUL bytes where the line belongs, and JSON lines hold no raw NUL, so
-on load a line's row is the bytes after its last NUL.
+Lines are written one at a time under the lock, each with os.pwrite at the
+stage's tracked end, so a killed process leaves at most a torn tail. A failed
+or short write still advances that end, and ledgers from older versions,
+which wrote lines outside the lock, may hold a range of NUL bytes where a
+line was never written; JSON lines hold no raw NUL, so on load a line's row
+is the bytes after its last NUL.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _scan(path: str) -> Iterator[tuple[int, int, Optional[dict[str, Any]]]]:
         for raw in fh:
             if not raw.endswith(b"\n"):
                 return  # torn tail line from a crash
-            skip = raw.rfind(b"\0") + 1  # past an unwritten reservation
+            skip = raw.rfind(b"\0") + 1  # past a range that was never written
             yield offset + skip, len(raw) - skip, _parse(raw[skip:])
             offset += len(raw)
 
@@ -76,12 +76,10 @@ class RunLedger:
         self.dir = os.path.join(run_dir, "ledgers")
         os.makedirs(self.dir, exist_ok=True)
         self._lock = threading.Lock()
-        self._published = threading.Condition(self._lock)
         # Per stage: item_id -> (outcome, offset, size) of the item's line.
         self._rows: dict[str, dict[str, tuple[str, int, int]]] = {s: {} for s in STAGES}
-        self._reserved: dict[str, set[str]] = {s: set() for s in STAGES}  # ids being written
         self._counts: dict[str, Counter] = {s: Counter() for s in STAGES}
-        # End of the last complete or reserved line: the next append's offset.
+        # End of the last complete or attempted line: the next append's offset.
         self._ends: dict[str, int] = {s: 0 for s in STAGES}
         self._files: dict[str, int] = {}  # write descriptors, opened on first log
         self._fds: dict[str, int] = {}  # read descriptors for get(); a new file shares its write one
@@ -142,12 +140,11 @@ class RunLedger:
         """Record one outcome; returns False when the item was already logged."""
         if stage not in self._rows:
             raise ValueError(f"unknown stage {stage!r}")
-        if item_id in self._rows[stage]:
+        rows = self._rows[stage]
+        if item_id in rows:
             return False  # a resume re-logs every ingested item; checked again under the lock
         entry = make_entry(item_id, outcome, reason, fingerprint, data)
-        rows, reserved = self._rows[stage], self._reserved[stage]
         with self._lock:
-            self._published.wait_for(lambda: item_id not in reserved)
             if item_id in rows:
                 return False
             # Serialised under the lock on purpose: with the encode outside it,
@@ -156,20 +153,11 @@ class RunLedger:
             # CPU-bound run waits on it (measured on the cpu_bulk benchmark).
             line = (JSON_LINE.encode(entry) + "\n").encode("utf-8")
             fd, offset = self._file(stage), self._ends[stage]
-            self._ends[stage] = offset + len(line)
-            reserved.add(item_id)
-        row = None
-        try:  # pwrite releases the interpreter lock, so no ledger lock is held here
+            self._ends[stage] = offset + len(line)  # later lines land past a failed write
             if os.pwrite(fd, line, offset) != len(line):
                 raise OSError(f"short write to the {stage} ledger")
-            row = (sys.intern(outcome), offset, len(line))
-        finally:
-            with self._lock:
-                if row is not None:
-                    self._counts[stage][(row[0], reason)] += 1
-                    rows[item_id] = row
-                reserved.discard(item_id)
-                self._published.notify_all()
+            self._counts[stage][(outcome, reason)] += 1
+            rows[item_id] = (sys.intern(outcome), offset, len(line))  # last: get() takes no lock
         return True
 
     def entries(self, stage: str) -> Iterator[dict[str, Any]]:

@@ -42,6 +42,20 @@ def test_short_documents_rejected(text):
     assert verdict.phase == "heuristic"
 
 
+@pytest.mark.parametrize("text", ["", "   ", " \n\t\u3000 "])
+def test_blank_documents_are_too_short_even_with_no_minimum(text):
+    verdict = heuristic_filter(make_doc(text), FilterConfig(min_chars=0))
+    assert not verdict.qualified
+    assert verdict.reason is FilterReason.TOO_SHORT
+    assert verdict.phase == "heuristic"
+
+
+def test_no_minimum_keeps_every_other_verdict():
+    cfg = FilterConfig(min_chars=0)
+    assert heuristic_filter(make_doc("x"), cfg).qualified
+    assert heuristic_filter(make_doc("#"), cfg).reason is FilterReason.LOW_ALPHA
+
+
 def test_minimum_length_prose_passes():
     verdict = heuristic_filter(make_doc(make_prose(200)), CFG)
     assert verdict.qualified and verdict.phase == "heuristic"

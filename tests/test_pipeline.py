@@ -420,7 +420,7 @@ def blocking_pwrite(monkeypatch, item_id):
     return entered, release
 
 
-def test_ledger_write_holds_no_lock_and_a_second_log_waits_for_it(tmp_path, monkeypatch):
+def test_ledger_write_holds_the_lock_and_every_other_log_waits_for_it(tmp_path, monkeypatch):
     ledger = RunLedger(str(tmp_path))
     entered, release = blocking_pwrite(monkeypatch, "slow")
     results = {}
@@ -431,18 +431,23 @@ def test_ledger_write_holds_no_lock_and_a_second_log_waits_for_it(tmp_path, monk
     first = threading.Thread(target=log, args=("first", "slow", 1))
     first.start()
     assert entered.wait(timeout=10)
-    # Another id appends and reads back while the slow line is being written.
-    assert ledger.log("generate", "fast", "pass") is True
-    assert ledger.get("generate", "fast")["outcome"] == "pass"
-    second = threading.Thread(target=log, args=("second", "slow", 2))
-    second.start()
-    second.join(timeout=0.2)
-    assert second.is_alive() and ledger.get("generate", "slow") is None
+    # While the slow line is being written, a log of the same id and a log of
+    # another id both wait, and neither row can be read yet.
+    same = threading.Thread(target=log, args=("same", "slow", 2))
+    other = threading.Thread(target=log, args=("other", "fast", 3))
+    same.start()
+    other.start()
+    same.join(timeout=0.2)
+    other.join(timeout=0.2)
+    assert same.is_alive() and other.is_alive() and results == {}
+    assert ledger.get("generate", "slow") is None and ledger.get("generate", "fast") is None
     release.set()
-    first.join(timeout=10)
-    second.join(timeout=10)
-    assert results == {"first": True, "second": False}
+    for thread in (first, same, other):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert results == {"first": True, "same": False, "other": True}
     assert ledger.get("generate", "slow")["data"] == {"thread": 1}
+    assert ledger.get("generate", "fast")["data"] == {"thread": 3}
     ledger.close()
     reloaded = RunLedger(str(tmp_path))
     assert [row["item_id"] for row in reloaded.entries("generate")] == ["slow", "fast"]
@@ -740,6 +745,23 @@ def test_dataset_stats_empty_file(tmp_path):
 
 
 # ---------------------------------------------------------------- end to end
+
+
+def test_a_blank_document_with_no_minimum_length_is_a_too_short_reject(tmp_path):
+    cfg_path, cfg_dict = mini_config(tmp_path, n_docs=1)
+    write_jsonl(tmp_path / "corpus.jsonl", [{"text": "   "}, {"text": prose(0)}])
+    cfg_dict["filter"] = {"min_chars": 0}
+    cfg_path.write_text(yaml.safe_dump(cfg_dict))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    ledger = RunLedger(str(tmp_path / "run"))
+    try:
+        assert ledger.outcome_counts("filter") == {("reject", "too_short"): 1, ("pass", ""): 1}
+        blank = next(row for row in ledger.entries("filter") if row["outcome"] == "reject")
+        assert blank["data"]["phase"] == "heuristic"
+    finally:
+        ledger.close()
+    assert len(read_jsonl(tmp_path / "records.jsonl")) == 1
+    assert cli.main(["resume", "--run-dir", str(tmp_path / "run")]) == 0
 
 
 def test_mini_run_end_to_end(tmp_path):
