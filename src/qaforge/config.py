@@ -236,4 +236,4 @@ def load_config(path: str) -> PipelineConfig:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return config_from_dict(data or {})
+    return config_from_dict({} if data is None else data)  # None: an empty YAML document

@@ -8,10 +8,11 @@ than n words contributes its whole word sequence as a single gram, on both the
 eval side and the query side, so tiny benchmark items remain detectable.
 
 The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
-searched with bisect. A run pins it in its run directory, so a resume screens
-against the same grams as the run's first candidates. A run builds it in a
-child process, `python -S -m qaforge.decontam EVAL_DIR N PATH` (IndexPin). The
-run keeps its own threads on one CPU; the child runs on all of the caller's.
+searched with bisect. A run pins it in its run directory (IndexPin): a pinned
+file is read when a run or resume starts; otherwise the first verified
+candidate starts the build, in a resume as in a fresh run, in a child process,
+`python -S -m qaforge.decontam EVAL_DIR N PATH`. The run keeps its own threads
+on one CPU; the child runs on all of the caller's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import re
 import struct
 import sys
+import threading
 from array import array
 from bisect import bisect_left
 from contextlib import suppress
@@ -222,43 +224,48 @@ def read_index(path: str, n: int) -> NGramIndex:
 class IndexPin:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    The file is read if it is there. Else a child process builds the index from
-    eval_dir and writes the file; without an eval_dir the empty index is written
-    here. The child starts on the run's one CPU and is moved to cpus, the
-    caller's, so it can use the ones the run leaves idle. A run pins the index at its
-    first screen and a resume before any provider call, so every candidate of a
-    run dir is screened against the same grams even if eval_dir changes.
+    A pinned file is read here, before a run or resume makes any provider call.
+    Else the first index() call writes the empty index without an eval_dir, or
+    starts a child that builds it from eval_dir and writes the file; the child
+    starts on the run's one CPU and is moved to cpus, the caller's, so it can use
+    the ones the run leaves idle. Every candidate of a run dir is screened
+    against the same grams, even if eval_dir changes.
     """
 
     def __init__(self, run_dir: str, eval_dir: Optional[str], n: int,
                  cpus: Optional[set[int]] = None):
-        self.path, self.n, self._child, self._error = os.path.join(run_dir, INDEX_FILE), n, None, ""
-        if not eval_dir and not os.path.exists(self.path):
-            write_index(NGramIndex(n=n), self.path)
-        elif not os.path.exists(self.path):
-            import subprocess  # loaded here, as gateway.py loads its HTTP stack
+        self.path, self.n, self._eval_dir = os.path.join(run_dir, INDEX_FILE), n, eval_dir
+        self._index = read_index(self.path, n) if os.path.exists(self.path) else None
+        self._cpus, self._child, self._error, self._lock = cpus, None, "", threading.Lock()
 
-            # -S skips the site-packages start-up, so the package root goes first
-            # on PYTHONPATH. close_fds (the default) keeps run.lock out of the child.
-            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-            self._child = subprocess.Popen(
-                [sys.executable, "-S", "-m", "qaforge.decontam", eval_dir, str(n), self.path],
-                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
-            if cpus is not None:  # it starts on the run's one CPU, and stays there if this fails
-                with suppress(OSError):
-                    os.sched_setaffinity(self._child.pid, cpus)
+    def index(self) -> Optional[NGramIndex]:
+        """The pinned index; None while the build runs; IngestError, on every call, if it failed."""
+        with self._lock:
+            if self._index is None and not self._error:
+                if not self._eval_dir:
+                    write_index(NGramIndex(n=self.n), self.path)
+                elif self._child is None:
+                    import subprocess  # loaded here, as gateway.py loads its HTTP stack
 
-    def result(self, wait: bool) -> Optional[NGramIndex]:
-        """The pinned index; None while the build runs and wait is false; IngestError if it failed."""
-        child = self._child
-        if child is not None and (child.wait() if wait else child.poll()) is None:
-            return None
-        if child is not None and child.returncode:
-            self._error = self._error or (child.stderr.read().decode("utf-8", "replace").strip()
-                                          .rpartition("\n")[2] or f"exit status {child.returncode}")
-            raise IngestError(f"eval index build failed: {self._error}")
-        return read_index(self.path, self.n)
+                    # -S skips the site-packages start-up, so the package root goes first
+                    # on PYTHONPATH. close_fds (the default) keeps run.lock out of the child.
+                    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+                    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+                    self._child = subprocess.Popen(
+                        [sys.executable, "-S", "-m", "qaforge.decontam", self._eval_dir,
+                         str(self.n), self.path],
+                        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+                    if self._cpus is not None:  # else, or if this fails, it stays on the run's CPU
+                        with suppress(OSError):
+                            os.sched_setaffinity(self._child.pid, self._cpus)
+                if self._child is None or self._child.poll() == 0:
+                    self._index = read_index(self.path, self.n)
+                elif self._child.returncode:  # set by poll() once the child has exited
+                    self._error = (self._child.stderr.read().decode("utf-8", "replace").strip()
+                                   .rpartition("\n")[2] or f"exit status {self._child.returncode}")
+            if self._error:
+                raise IngestError(f"eval index build failed: {self._error}")
+            return self._index
 
     def close(self) -> None:
         """Kill and reap a build that is still running, and remove its tmp file."""

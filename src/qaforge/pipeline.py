@@ -15,14 +15,14 @@ opens, runs before the run directory is written. Then the run takes an
 exclusive flock on <run_dir>/run.lock, so one process at a time drives a run
 dir; a second run or resume fails at once. Until it ends, the run holds its
 calling thread, and so every thread it starts, to the CPU that thread is on.
-A fresh run then writes config.json and starts the pool. A document runs its
-LLM phase (filter, classify, generate and verify per persona), then its screen
-(decontaminate, distill, records). The first verified candidate starts the eval
-index build in a child process (decontam.IndexPin), on all of the caller's CPUs.
+A pinned eval index file is read then (decontam.IndexPin). A fresh run then
+writes config.json and starts the pool. A document runs its LLM phase (filter,
+classify, generate and verify per persona), then its screen (decontaminate,
+distill, records). Otherwise the first verified candidate starts the index build
+in a child process, on all of the caller's CPUs, in a resume as in a fresh run.
 Until the index is pinned, a document with verified candidates lets its text go
 and parks only its screen (the candidates and the max_chars cut), which is
 submitted again once it is pinned, with no ledger read and no provider call.
-A resume pins the index before any provider call.
 
 Output ordering is deterministic by construction. The window writes records
 in ingest order, so the dataset file is byte-identical across runs and across
@@ -41,7 +41,7 @@ import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from typing import Any, Callable, Iterator, Optional
@@ -54,7 +54,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .decontam import IndexPin, NGramIndex, eval_paths, is_contaminated
+from .decontam import IndexPin, eval_paths, is_contaminated
 from .errors import (
     ConfigDriftError,
     ConfigError,
@@ -167,21 +167,8 @@ class _RunContext:
     gateway: Gateway
     ledger: RunLedger
     demos: DemoLibrary
+    pin: IndexPin
     hook: Optional[StageHook] = None
-    cpus: Optional[set[int]] = None  # the caller's CPUs, while the run is held to one of them
-    pin: Optional[IndexPin] = None
-    _index: Optional[NGramIndex] = None
-    _index_lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def eval_index(self, wait: bool) -> Optional[NGramIndex]:
-        """The run's pinned eval index (IndexPin.result); the first call reads it or starts its build."""
-        with self._index_lock:
-            if self._index is None:
-                if self.pin is None:
-                    dcfg = self.cfg.decontaminate
-                    self.pin = IndexPin(self.cfg.run.run_dir, dcfg.eval_dir, dcfg.ngram, self.cpus)
-                self._index = self.pin.result(wait)
-            return self._index
 
     def log(self, stage: str, item_id: str, outcome: str, reason: str = "",
             fingerprint: str = "", data: Optional[dict] = None) -> bool:
@@ -262,7 +249,7 @@ class IndexPending(Exception):
 
 
 def _decontaminate(ctx: _RunContext, qa: CandidateQA) -> StageResult:
-    report = is_contaminated(qa.question, qa.answer, ctx.eval_index(wait=False))
+    report = is_contaminated(qa.question, qa.answer, ctx.pin.index())
     data = {
         "matched_gram_count": report.matched_gram_count,
         "first_match_offset": report.first_match_offset,
@@ -308,7 +295,7 @@ def _process_document(ctx: _RunContext, doc: Document) -> list[dict]:
         if ventry["outcome"] == "pass":
             verified.append(qa)
     screen = partial(_screen, ctx, doc.source, llm_text, fentry["data"], len(personas), verified)
-    if verified and ctx.eval_index(wait=False) is None:
+    if verified and ctx.pin.index() is None:
         raise IndexPending(screen)
     return screen()
 
@@ -486,6 +473,14 @@ def _hold_to_one_cpu() -> Optional[set[int]]:
     return cpus
 
 
+def _write_json(path: str, obj: Any) -> None:
+    """Write obj as indented JSON via <path>.tmp, atomically; the run-dir lock keeps one writer."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(f"{path}.tmp", path)
+
+
 @contextmanager
 def _run_dir_lock(run_dir: str) -> Iterator[None]:
     """Hold an exclusive flock on <run_dir>/run.lock, with this process's pid in it.
@@ -539,23 +534,22 @@ def run_pipeline(
     with _run_dir_lock(run_dir):
         if not resume and os.path.exists(snapshot_path):
             raise ConfigError(f"run_dir {run_dir} already holds a run; use resume")
-        ctx = _RunContext(cfg=cfg, gateway=gw, ledger=RunLedger(run_dir), demos=demos,
-                          hook=on_stage_logged, cpus=_hold_to_one_cpu())
+        ledger, cpus = RunLedger(run_dir), _hold_to_one_cpu()
         try:
-            if resume:
-                ctx.eval_index(wait=True)
-            else:
-                with open(snapshot_path, "w", encoding="utf-8") as fh:
-                    json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            return _drive(ctx, resume, start)
+            pin = IndexPin(run_dir, dcfg.eval_dir, dcfg.ngram, cpus)
+            try:
+                if not resume:
+                    _write_json(snapshot_path, config_to_dict(cfg))
+                ctx = _RunContext(cfg=cfg, gateway=gw, ledger=ledger, demos=demos, pin=pin,
+                                  hook=on_stage_logged)
+                return _drive(ctx, resume, start)
+            finally:
+                pin.close()
         finally:
-            if ctx.cpus is not None:
+            if cpus is not None:
                 with suppress(OSError):
-                    os.sched_setaffinity(0, ctx.cpus)
-            if ctx.pin is not None:
-                ctx.pin.close()
-            ctx.ledger.close()
+                    os.sched_setaffinity(0, cpus)
+            ledger.close()
 
 
 class _Window:
@@ -605,7 +599,7 @@ class _Window:
                         raise records  # once every document before it is written
                     self.idle -= not records
                     self.writer.append(records)
-                elif parked and self.ctx.eval_index(wait=False) is not None:
+                elif parked and self.ctx.pin.index() is not None:
                     while parked:
                         self.pool.submit(self._process, parked.popleft())
                 elif len(pending) - len(parked) - self.idle <= size and len(pending) <= cap:
@@ -660,9 +654,7 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         gateway=gw.ledger.snapshot(cfg.gateway.pricing or None),
         concurrency=gw.concurrency,
     )
-    with open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "report.json"), report.to_dict())
     return report
 
 

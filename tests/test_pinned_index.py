@@ -240,20 +240,25 @@ def test_first_send_comes_before_the_index_build(tmp_path, monkeypatch, referenc
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
 
 
+def poll_index(pin, seconds=30):
+    """pin.index(), called until it is not None or seconds have passed."""
+    deadline = time.monotonic() + seconds
+    while (index := pin.index()) is None and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return index
+
+
 def test_concurrent_first_screens_build_the_index_once(tmp_path, monkeypatch):
     bundle = build_fixture(tmp_path)
-    cfg = bundle.config()
-    os.makedirs(cfg.run.run_dir)
+    run_dir = bundle.root / "run"
+    run_dir.mkdir()
     children = spawn_spy(monkeypatch)
-    ctx = _RunContext(cfg=cfg, gateway=None, ledger=None, demos=None)
+    pin = IndexPin(str(run_dir), str(bundle.eval_dir), 13)
     start, got = threading.Barrier(16), []
 
     def screen():
         start.wait(timeout=10)
-        deadline = time.monotonic() + 30
-        while (index := ctx.eval_index(wait=False)) is None and time.monotonic() < deadline:
-            time.sleep(0.001)
-        got.append(index)
+        got.append(poll_index(pin))
 
     threads = [threading.Thread(target=screen, daemon=True) for _ in range(16)]
     interval = sys.getswitchinterval()
@@ -265,11 +270,11 @@ def test_concurrent_first_screens_build_the_index_once(tmp_path, monkeypatch):
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        ctx.pin.close()
+        pin.close()
     assert not any(thread.is_alive() for thread in threads)
     assert len(children) == 1 and len(got) == 16
     assert got[0] is not None and all(index is got[0] for index in got)
-    assert read_index(str(bundle.root / "run" / INDEX_FILE), 13) == got[0]
+    assert read_index(str(run_dir / INDEX_FILE), 13) == got[0]
     assert got[0] == build_index_from_dir(str(bundle.eval_dir), 13)
 
 
@@ -280,7 +285,7 @@ def test_the_index_child_imports_only_the_index_code(tmp_path, monkeypatch):
     children = spawn_spy(monkeypatch, lambda args: [args[0], "-X", "importtime", *args[1:]])
     pin = IndexPin(str(run_dir), str(bundle.eval_dir), 13)
     try:
-        index = pin.result(wait=True)
+        index = poll_index(pin)
         timings = children[0][1].stderr.read().decode()
     finally:
         pin.close()
@@ -528,23 +533,121 @@ def test_abort_while_workers_wait_to_screen_ends_the_run(tmp_path, reference):
     assert read_index(str(run_dir / INDEX_FILE), 13) == build_index_from_dir(str(bundle.eval_dir))
 
 
-def test_all_reject_corpus_pins_the_index(tmp_path):
+def test_all_reject_corpus_pins_no_index(tmp_path, monkeypatch):
     bundle = build_fixture(tmp_path / "fixture")
     write_jsonl(tmp_path / "junk.jsonl", [{"text": f"Too short {i}."} for i in range(5)])
     cfg = bundle.config()
     cfg.sources = [SourceSpec("junk", str(tmp_path / "junk.jsonl"))]
     run_dir = bundle.root / "run"
+    children = spawn_spy(monkeypatch)
     provider, gw = counted_gateway(bundle)
     report = run_pipeline(cfg, gateway=gw)
     assert provider.total_calls == 0
     assert report.funnel["filter"] == {"in": 5, "pass": 0, "reject": 5, "drop": 0}
-    # Nothing was screened, so nothing was pinned; the resume pins it.
+    # Nothing was screened, so nothing is pinned, by the run or by its resume.
     assert not (run_dir / INDEX_FILE).exists()
     provider, gw = counted_gateway(bundle)
     resume_run(str(run_dir), gateway=gw)
     assert provider.total_calls == 0
-    pinned = read_index(str(run_dir / INDEX_FILE), 13)
-    assert pinned == build_index_from_dir(str(bundle.eval_dir), 13)
+    assert not (run_dir / INDEX_FILE).exists() and children == []
+
+
+def test_a_resume_without_a_pinned_index_calls_the_provider_while_it_builds(tmp_path, monkeypatch,
+                                                                            reference):
+    bundle, first = crashed_run(tmp_path, "classify")
+    run_dir = bundle.root / "run"
+    assert not (run_dir / INDEX_FILE).exists()  # killed before its first screen
+    second, gw = counted_gateway(bundle)
+    released, held_sends, parked = threading.Event(), [], []
+    process, send = pipeline._process_document, second.send
+
+    def recording_send(req):
+        if not released.is_set():
+            held_sends.append(req)
+        return send(req)
+
+    def parking_process(ctx, doc):
+        try:
+            return process(ctx, doc)
+        except pipeline.IndexPending:
+            parked.append(doc.doc_id)
+            released.set()
+            raise
+
+    second.send = recording_send
+    monkeypatch.setattr(pipeline, "_process_document", parking_process)
+    hold_the_build(monkeypatch, released)
+    fallback = threading.Timer(20, released.set)  # a resume that waits on the build ends too
+    fallback.start()
+    try:
+        report = within(60, lambda: resume_run(str(run_dir), gateway=gw))["value"]
+    finally:
+        fallback.cancel()
+
+    assert held_sends and parked
+    assert report.funnel_consistent, report.funnel_problems
+    assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+    combined = Counter(first.calls) + Counter(second.calls)
+    assert dict(combined) == reference["calls"]
+    assert read_index(str(run_dir / INDEX_FILE), 13) == build_index_from_dir(str(bundle.eval_dir))
+
+
+# IndexPin on its own, with no pipeline around it.
+
+
+def test_a_pin_over_a_missing_file_starts_its_build_at_the_first_index_call(tmp_path,
+                                                                            monkeypatch):
+    bundle = build_fixture(tmp_path / "fixture")
+    children = spawn_spy(monkeypatch)
+    pin = IndexPin(str(tmp_path), str(bundle.eval_dir), 13)
+    try:
+        assert children == [] and not (tmp_path / INDEX_FILE).exists()
+        index = poll_index(pin)
+    finally:
+        pin.close()
+    assert len(children) == 1
+    assert index == build_index_from_dir(str(bundle.eval_dir), 13)
+    assert index == read_index(str(tmp_path / INDEX_FILE), 13)
+
+
+def test_a_pin_over_a_damaged_file_refuses_it(tmp_path, monkeypatch):
+    (tmp_path / INDEX_FILE).write_bytes(b"QAFIDX\0\0")
+    children = spawn_spy(monkeypatch)
+    with pytest.raises(ConfigDriftError):
+        IndexPin(str(tmp_path), str(tmp_path / "evals"), 13)
+    assert children == []
+
+
+def test_a_failed_build_raises_the_childs_line_on_every_call(tmp_path, monkeypatch):
+    missing = tmp_path / "evals"
+    children = spawn_spy(monkeypatch)
+    pin = IndexPin(str(tmp_path), str(missing), 13)
+    try:
+        with pytest.raises(IngestError) as first:
+            poll_index(pin)
+        later = []
+        for _ in range(3):  # the child's stderr is read once; the line is kept
+            with pytest.raises(IngestError) as again:
+                pin.index()
+            later.append(str(again.value))
+    finally:
+        pin.close()
+    assert str(first.value) == f"eval index build failed: IngestError: eval dir not found: {missing}"
+    assert later == [str(first.value)] * 3
+    assert len(children) == 1 and not (tmp_path / INDEX_FILE).exists()
+
+
+@pytest.mark.parametrize("eval_dir", [None, ""])
+def test_a_pin_without_an_eval_dir_writes_the_empty_index_at_the_first_call(tmp_path,
+                                                                            monkeypatch, eval_dir):
+    children = spawn_spy(monkeypatch)
+    pin = IndexPin(str(tmp_path), eval_dir, 13)
+    assert not (tmp_path / INDEX_FILE).exists()
+    index = pin.index()
+    pin.close()
+    assert index == build_index([], 13) == read_index(str(tmp_path / INDEX_FILE), 13)
+    assert pin.index() is index and children == []
 
 
 def test_a_failed_index_build_ends_the_run(tmp_path, reference):

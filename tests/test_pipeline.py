@@ -1369,6 +1369,43 @@ def test_config_snapshot_matches_original(tmp_path):
     assert canonical_json(snap) == canonical_json(load_config(str(cfg_path)))
 
 
+def test_a_snapshot_write_that_fails_leaves_no_config_json(tmp_path, monkeypatch):
+    ref, bundle = build_fixture(tmp_path / "ref"), build_fixture(tmp_path / "run")
+
+    def fixture_gateway(b):
+        return Gateway(MockProvider(MockScript.load(str(b.mock_path))), concurrency=4,
+                       sleep=lambda _s: None)
+
+    run_pipeline(ref.config(), gateway=fixture_gateway(ref))
+    real = pipeline.config_to_dict
+    # The last key cannot be encoded, so the write fails after the others.
+    monkeypatch.setattr(pipeline, "config_to_dict", lambda cfg: {**real(cfg), "zz": object()})
+    with pytest.raises(TypeError):
+        run_pipeline(bundle.config(), gateway=fixture_gateway(bundle))
+    assert not (bundle.root / "run" / "config.json").exists()
+    monkeypatch.setattr(pipeline, "config_to_dict", real)
+    report = run_pipeline(bundle.config(), gateway=fixture_gateway(bundle))
+    assert report.funnel_consistent, report.funnel_problems
+    assert dataset_body(bundle.root / "records.jsonl") == dataset_body(ref.root / "records.jsonl")
+    assert report.records_written == 155
+
+
+@pytest.mark.parametrize("root", ["[]", "0", "false", '""'])
+def test_cli_config_root_that_is_not_a_mapping_is_fatal(tmp_path, monkeypatch, capsys, root):
+    (tmp_path / "c.json").write_text(root + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", "c.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "error: config root must be a mapping" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_an_empty_yaml_config_is_all_defaults(tmp_path):
+    (tmp_path / "empty.yaml").write_text("# no settings\n")
+    assert canonical_json(load_config(str(tmp_path / "empty.yaml"))) == canonical_json(
+        config_from_dict({}))
+
+
 # ---------------------------------------------------------------- cli
 
 

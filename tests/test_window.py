@@ -21,14 +21,12 @@ from qaforge.types import Document
 
 
 class FakeContext:
-    """What the window reads of a run context; the index is pinned once pinned is set."""
+    """What the window reads of a run context; its pin's index is pinned once pinned is set."""
 
     def __init__(self, concurrency):
         self.gateway = SimpleNamespace(concurrency=concurrency)
         self.pinned = threading.Event()
-
-    def eval_index(self, wait):
-        return "index" if self.pinned.is_set() else None
+        self.pin = SimpleNamespace(index=lambda: "index" if self.pinned.is_set() else None)
 
 
 class Boom(Exception):
@@ -165,7 +163,7 @@ def test_add_blocks_at_the_cap_while_every_document_is_parked(monkeypatch):
 
     def process(ctx, doc):
         calls.append(doc.doc_id)
-        if ctx.eval_index(wait=False) is None:
+        if ctx.pin.index() is None:
             screens[doc.doc_id] = partial(screen, doc.doc_id)
             raise pipeline.IndexPending(screens[doc.doc_id])
         return [doc.doc_id]
@@ -200,11 +198,11 @@ def test_parked_documents_are_submitted_again_once_after_the_index_is_pinned(mon
             calls.setdefault(doc_id, []).append((what, pinned))
 
     def screen(ctx, doc_id):
-        record(doc_id, "screen", ctx.eval_index(wait=False) is not None)
+        record(doc_id, "screen", ctx.pin.index() is not None)
         return [doc_id]
 
     def process(ctx, doc):
-        pinned = ctx.eval_index(wait=False) is not None
+        pinned = ctx.pin.index() is not None
         record(doc.doc_id, "document", pinned)
         time.sleep(0.0005)
         if not pinned:
