@@ -5,7 +5,8 @@ success, 1 on fatal config or IO errors and on a run dir that another process
 holds, 2 when resume refuses to continue under a drifted config.
 
 Each subcommand imports only what it runs: `reward` loads config, errors, types
-and reward (`--judge` adds gateway and prompts), never the pipeline or yaml.
+and reward (`--judge` adds gateway and prompts), never the pipeline or yaml;
+`stats` adds only report, never the pipeline.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from .pipeline import dataset_stats
+    from .report import dataset_stats
     stats = dataset_stats(args.dataset)
     if stats["malformed"]:
         print(f"malformed lines skipped: {stats['malformed']}")

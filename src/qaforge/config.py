@@ -230,10 +230,12 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
+    except RecursionError as exc:  # nested too deeply: not YAML either
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     except ValueError:
         import yaml
         try:
             data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return config_from_dict({} if data is None else data)  # None: an empty YAML document

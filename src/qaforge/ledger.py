@@ -30,9 +30,7 @@ import threading
 from collections import Counter
 from typing import Any, Iterator, Optional
 
-from .types import BAD_LINE, JSON_LINE, json_object
-
-STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
+from .types import BAD_LINE, JSON_LINE, STAGES, json_object
 
 
 def make_entry(item_id: str, outcome: str, reason: str = "", fingerprint: str = "",
@@ -177,23 +175,6 @@ class RunLedger:
         """Counter over (outcome, reason) pairs for one stage."""
         with self._lock:
             return Counter(self._counts[stage])
-
-    def replay_funnel(self) -> dict[str, dict[str, int]]:
-        """Reconstruct per-stage in/pass/reject/drop counts from the logs alone."""
-        funnel: dict[str, dict[str, int]] = {}
-        for stage in STAGES:
-            counts = self.outcome_counts(stage)
-            total = sum(counts.values())
-            passed = sum(v for (o, _), v in counts.items() if o == "pass")
-            rejected = sum(v for (o, _), v in counts.items() if o == "reject")
-            dropped = sum(v for (o, _), v in counts.items() if o == "drop")
-            funnel[stage] = {
-                "in": total,
-                "pass": passed,
-                "reject": rejected,
-                "drop": dropped,
-            }
-        return funnel
 
     def close(self) -> None:
         with self._lock:

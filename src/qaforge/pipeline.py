@@ -1,4 +1,4 @@
-"""Run orchestration: staged processing, resumability, and reporting.
+"""Run orchestration: staged processing and resumability.
 
 A run owns a run directory holding the config snapshot, the pinned eval index,
 per-stage ledgers, and the final report. Processing is at-least-once with
@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import fcntl
 import json
-import math
 import os
-import statistics
 import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from typing import Any, Callable, Iterator, Optional
@@ -67,6 +65,7 @@ from .gateway import Gateway, build_gateway
 from .generate import AnswerTooLongError, DemoLibrary, PreLeakError, distill_cot, generate_qa
 from .ingest import _source_files, dedup, ingest_summary, sample_mixture
 from .ledger import RunLedger, make_entry
+from .report import RunReport, build_report
 from .types import (
     BAD_LINE,
     JSON_LINE,
@@ -342,109 +341,6 @@ def _screen(ctx: _RunContext, source: str, llm_text: str, fdata: dict, personas:
     return records
 
 
-def _percentile(values: list[int], q: float) -> int:
-    ordered = sorted(values)
-    idx = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[idx]
-
-
-def dataset_stats(path: str) -> dict[str, Any]:
-    """Distribution summary of a written dataset file; lines that are not records are counted."""
-    domains: dict[str, int] = {}
-    sources: dict[str, int] = {}
-    answer_lengths: list[int] = []
-    total = malformed = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            if not raw.strip():
-                continue
-            try:
-                rec = line_fields(raw, {"domain": None, "source": None, "answer": None})
-            except BAD_LINE:
-                malformed += 1
-                continue
-            total += 1
-            domains[rec["domain"]] = domains.get(rec["domain"], 0) + 1
-            sources[rec["source"]] = sources.get(rec["source"], 0) + 1
-            answer_lengths.append(len(rec["answer"]))
-    out: dict[str, Any] = {"records": total, "malformed": malformed, "domains": {},
-                           "domain_proportions": {}, "sources": sources, "answer_length": {}}
-    if total:
-        out["domains"] = dict(sorted(domains.items()))
-        out["domain_proportions"] = {d: c / total for d, c in sorted(domains.items())}
-        out["answer_length"] = {
-            "min": min(answer_lengths),
-            "median": int(statistics.median(answer_lengths)),
-            "p95": _percentile(answer_lengths, 0.95),
-            "max": max(answer_lengths),
-        }
-    return out
-
-
-def _check_funnel(ledger: RunLedger, records_written: int) -> tuple[dict, list[str]]:
-    funnel = ledger.replay_funnel()
-    problems: list[str] = []
-    expected_candidates = sum(len(e["data"]["personas"]) for e in ledger.entries("classify")
-                              if e["outcome"] == "pass")
-    checks = [
-        ("filter.in == ingest.pass", funnel["filter"]["in"], funnel["ingest"]["pass"]),
-        ("classify.in == filter.pass", funnel["classify"]["in"], funnel["filter"]["pass"]),
-        ("generate.in == sum(personas)", funnel["generate"]["in"], expected_candidates),
-        ("verify.in == generate.pass", funnel["verify"]["in"], funnel["generate"]["pass"]),
-        ("decontaminate.in == verify.pass", funnel["decontaminate"]["in"], funnel["verify"]["pass"]),
-        ("written == decontaminate.pass", records_written, funnel["decontaminate"]["pass"]),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            problems.append(f"{label}: {got} != {want}")
-    return funnel, problems
-
-
-@dataclass
-class RunReport:
-    run_dir: str
-    out_path: str
-    records_written: int
-    wall_seconds: float
-    funnel: dict[str, dict[str, int]]
-    funnel_consistent: bool
-    funnel_problems: list[str]
-    reasons: dict[str, dict[str, int]]
-    ingest: dict[str, dict[str, int]]
-    dataset: dict[str, Any]
-    gateway: dict[str, Any]
-    concurrency: int = 1
-    pipeline_version: str = PIPELINE_VERSION
-
-    def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        out["wall_seconds"] = round(self.wall_seconds, 3)
-        return out
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"run_dir: {self.run_dir}",
-            f"records written: {self.records_written} -> {self.out_path}",
-            f"wall time: {self.wall_seconds:.2f}s, concurrency: {self.concurrency}",
-            "funnel:",
-        ]
-        for stage, row in self.funnel.items():
-            if row["in"] == 0:
-                continue
-            lines.append(
-                f"  {stage:<13} in={row['in']:<6} pass={row['pass']:<6} "
-                f"reject={row['reject']:<5} drop={row['drop']}"
-            )
-        if not self.funnel_consistent:
-            lines.append(f"FUNNEL INCONSISTENT: {'; '.join(self.funnel_problems)}")
-        totals = self.gateway.get("totals", {})
-        lines.append(
-            f"gateway: {totals.get('requests', 0)} requests, {totals.get('retries', 0)} retries, "
-            f"{totals.get('reasks', 0)} re-asks, {totals.get('failures', 0)} failures"
-        )
-        return lines
-
-
 LOCK_FILE = "run.lock"
 THREAD_STAT = "/proc/thread-self/stat"  # field 39: the CPU the calling thread last ran on
 
@@ -633,27 +529,10 @@ def _drive(ctx: _RunContext, resume: bool, start: float) -> RunReport:
         window.pool.shutdown(cancel_futures=True)  # queued documents must not start after an abort
         writer.close()
 
-    records_written = writer.count
-    funnel, problems = _check_funnel(ledger, records_written)
-    reasons = {
-        stage: {f"{o}:{r}" if r else o: c for (o, r), c in sorted(ledger.outcome_counts(stage).items())}
-        for stage in funnel
-        if funnel[stage]["in"]
-    }
-    report = RunReport(
-        run_dir=run_dir,
-        out_path=cfg.run.out,
-        records_written=records_written,
-        wall_seconds=time.monotonic() - start,
-        funnel=funnel,
-        funnel_consistent=not problems,
-        funnel_problems=problems,
-        reasons=reasons,
+    report = build_report(
+        ledger, cfg.run.out, writer.count, run_dir=run_dir, wall_seconds=time.monotonic() - start,
         ingest=ingest_summary(ingest_counts, cfg.sources),
-        dataset=dataset_stats(cfg.run.out),
-        gateway=gw.ledger.snapshot(cfg.gateway.pricing or None),
-        concurrency=gw.concurrency,
-    )
+        gateway=gw.ledger.snapshot(cfg.gateway.pricing or None), concurrency=gw.concurrency)
     _write_json(os.path.join(run_dir, "report.json"), report.to_dict())
     return report
 

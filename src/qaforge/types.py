@@ -9,6 +9,7 @@ from enum import Enum
 from typing import Any, Iterable, Iterator, Optional
 
 PIPELINE_VERSION = "0.1.0"
+STAGES = ("ingest", "filter", "classify", "generate", "verify", "decontaminate", "distill", "write")
 
 
 def content_hash(*parts: str, bits: int = 128) -> str:

@@ -115,6 +115,18 @@ def test_reward_server_loads_only_the_reward_path():
     assert not PIPELINE_ONLY & modules, sorted(PIPELINE_ONLY & modules)
 
 
+def test_stats_loads_the_report_not_the_pipeline(tmp_path):
+    dataset = tmp_path / "records.jsonl"
+    dataset.write_text(json.dumps({"domain": "science", "source": "web", "answer": "Paris"}) + "\n")
+    modules, out = _imported_modules(["-m", "qaforge", "stats", "--dataset", str(dataset)])
+    assert "records: 1" in out
+    assert "qaforge.report" in modules
+    unwanted = {f"qaforge.{m}" for m in ("pipeline", "gateway", "generate", "decontam", "ingest",
+                                         "classify", "filtering", "verify", "prompts")}
+    unwanted |= {"concurrent.futures", "yaml"}
+    assert not unwanted & modules, sorted(unwanted & modules)
+
+
 def test_judging_reward_server_adds_the_gateway_not_the_pipeline(tmp_path):
     script = tmp_path / "judge.jsonl"
     script.write_text(json.dumps({"stage_tag": "judge", "fingerprint": "default",

@@ -47,11 +47,11 @@ from qaforge.pipeline import (
     DROP_REASONS,
     _DatasetWriter,
     build_gateway,
-    dataset_stats,
     resume_run,
     run_pipeline,
 )
-from qaforge.types import Document
+from qaforge.report import dataset_stats, funnel_and_reasons
+from qaforge.types import STAGES, Document
 
 from conftest import read_jsonl, write_jsonl
 from fixture_builder import build_fixture
@@ -390,7 +390,7 @@ def test_ledger_load_skips_nul_runs_and_appends_past_them(tmp_path, layout):
     assert resumed.get("generate", "b")["data"] == {"n": "b"}
     assert resumed.get("generate", "x") is None
     assert [row["item_id"] for row in resumed.entries("generate")] == ["a", "b"]
-    assert resumed.replay_funnel()["generate"] == {"in": 2, "pass": 1, "reject": 0, "drop": 1}
+    assert funnel_and_reasons(resumed)[0]["generate"] == {"in": 2, "pass": 1, "reject": 0, "drop": 1}
     assert resumed.log("generate", "c", "pass", data={"n": "c"}) is True
     resumed.close()
     assert path.read_bytes()[end_of_b:] == json.dumps(
@@ -401,7 +401,7 @@ def test_ledger_load_skips_nul_runs_and_appends_past_them(tmp_path, layout):
     try:
         assert [row["item_id"] for row in reloaded.entries("generate")] == ["a", "b", "c"]
         assert reloaded.get("generate", "c")["data"] == {"n": "c"}
-        assert reloaded.replay_funnel()["generate"]["in"] == 3
+        assert funnel_and_reasons(reloaded)[0]["generate"]["in"] == 3
     finally:
         reloaded.close()
 
@@ -519,14 +519,17 @@ def test_ledger_rejects_unknown_stage(tmp_path):
     ledger.close()
 
 
-def test_replay_funnel_counts(tmp_path):
+def test_funnel_and_reasons_counts(tmp_path):
     ledger = RunLedger(str(tmp_path))
     ledger.log("filter", "a", "pass")
     ledger.log("filter", "b", "reject", reason="too_short")
     ledger.log("filter", "c", "drop", reason="parse")
-    funnel = ledger.replay_funnel()
+    funnel, reasons = funnel_and_reasons(ledger)
     assert funnel["filter"] == {"in": 3, "pass": 1, "reject": 1, "drop": 1}
+    assert reasons["filter"] == {"pass": 1, "reject:too_short": 1, "drop:parse": 1}
     assert funnel["verify"] == {"in": 0, "pass": 0, "reject": 0, "drop": 0}
+    assert "verify" not in reasons
+    assert list(funnel) == list(STAGES)
     counts = ledger.outcome_counts("filter")
     assert counts[("reject", "too_short")] == 1
     ledger.close()
@@ -1398,6 +1401,24 @@ def test_cli_config_root_that_is_not_a_mapping_is_fatal(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "error: config root must be a mapping" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("name, text, command", [
+    pytest.param("deep.json", "[" * 200_000 + "]" * 200_000, ["run"], id="json"),
+    pytest.param("deep.yaml", "a: " + "[" * 100_000 + "]" * 100_000, ["run"], id="yaml"),
+    pytest.param("deep.json", "[" * 200_000 + "]" * 200_000, ["reward", "--stdin"], id="reward"),
+])
+def test_cli_config_nested_too_deeply_is_fatal(tmp_path, name, text, command):
+    (tmp_path / name).write_text(text + "\n")
+    src = os.path.dirname(os.path.dirname(qaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "qaforge", *command, "--config", name],
+                          cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr.count("error:") == 1 and f"error: cannot parse config {name}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 def test_an_empty_yaml_config_is_all_defaults(tmp_path):
