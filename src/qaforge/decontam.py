@@ -8,11 +8,10 @@ than n words contributes its whole word sequence as a single gram, on both the
 eval side and the query side, so tiny benchmark items remain detectable.
 
 The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
-searched with bisect. A run pins it in its run directory (IndexPin): a pinned
-file is read when a run or resume starts; otherwise the first verified
-candidate starts the build, in a resume as in a fresh run, in a child process,
-`python -S -m qaforge.decontam EVAL_DIR N PATH`. The run keeps its own threads
-on one CPU; the child runs on all of the caller's.
+searched with bisect. A run pins it in its run dir (IndexPin): a pinned file is
+read when a run or resume starts; else the first verified candidate starts a
+child, `python -S -m qaforge.decontam EVAL_DIR N PATH`, which builds it once per
+eval set and code version, and then copies it from a per-user cache file.
 """
 
 from __future__ import annotations
@@ -226,10 +225,10 @@ class IndexPin:
 
     A pinned file is read here, before a run or resume makes any provider call.
     Else the first index() call writes the empty index without an eval_dir, or
-    starts a child that builds it from eval_dir and writes the file; the child
-    starts on the run's one CPU and is moved to cpus, the caller's, so it can use
-    the ones the run leaves idle. Every candidate of a run dir is screened
-    against the same grams, even if eval_dir changes.
+    starts a child that builds it from eval_dir, or copies it from its cache,
+    and writes the file; the child is moved from the run's one CPU to cpus, the
+    caller's, to use the ones the run leaves idle. Every candidate of a run dir
+    is screened against the same grams, even if eval_dir changes.
     """
 
     def __init__(self, run_dir: str, eval_dir: Optional[str], n: int,
@@ -276,8 +275,35 @@ class IndexPin:
                 os.remove(f"{self.path}.{self._child.pid}.tmp")
 
 
+def _cache_file(eval_dir: str, n: int) -> str:
+    """The cache file of eval_dir's index, keyed on the format, n, the Python, code and evals."""
+    head = (b"%d" % INDEX_FORMAT_VERSION, b"%d" % n, sys.version.encode())  # its Unicode data
+    key = hashlib.blake2b(b"".join(len(p).to_bytes(8, "big") + p for p in head), digest_size=16)
+    for p in [__file__, os.path.join(os.path.dirname(__file__), "types.py"), *eval_paths(eval_dir)]:
+        with open(p, "rb") as fh:  # in chunks: the eval set need not fit in memory
+            key.update(os.fstat(fh.fileno()).st_size.to_bytes(8, "big"))
+            while chunk := fh.read(1 << 20):
+                key.update(chunk)
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return os.path.join(base, "qaforge", f"eval-index-{key.hexdigest()}.bin")
+
+
+def _pin_index(eval_dir: str, n: int, path: str) -> None:
+    """IndexPin's child: copy eval_dir's cached index to path, or build, write and cache it."""
+    cache = ""
+    with suppress(OSError, IngestError, ConfigDriftError):  # unkeyed, missing or damaged: build
+        cache = _cache_file(eval_dir, n)
+        return write_index(read_index(cache, n), path)
+    index = build_index_from_dir(eval_dir, n)
+    write_index(index, path)
+    with suppress(OSError, IngestError):  # cached only if no eval file changed since it was keyed
+        if _cache_file(eval_dir, n) == cache:
+            os.makedirs(os.path.dirname(cache), 0o700, exist_ok=True)
+            write_index(index, cache)
+
+
 if __name__ == "__main__":  # IndexPin's child: on failure, one `Type: message` line and exit 1
     try:
-        write_index(build_index_from_dir(sys.argv[1], int(sys.argv[2])), sys.argv[3])
+        _pin_index(sys.argv[1], int(sys.argv[2]), sys.argv[3])
     except Exception as exc:
         sys.exit(f"{type(exc).__name__}: {exc}")

@@ -74,6 +74,7 @@ from .types import (
     Document,
     Domain,
     Persona,
+    json_object,
     line_fields,
     make_record_id,
 )
@@ -552,8 +553,11 @@ def resume_run(
     snapshot_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(snapshot_path):
         raise ConfigError(f"cannot resume: no config snapshot in {run_dir}")
-    with open(snapshot_path, "r", encoding="utf-8") as fh:
-        snap_cfg = config_from_dict(json.load(fh))
+    try:
+        with open(snapshot_path, "r", encoding="utf-8") as fh:
+            snap_cfg = config_from_dict(json_object(fh.read()))
+    except BAD_LINE as exc:  # not UTF-8, not a JSON object, or nested too deeply
+        raise ConfigError(f"cannot parse config snapshot {snapshot_path}: {exc}") from exc
     if config_path is not None:
         current = load_config(config_path)
         if canonical_json(current) != canonical_json(snap_cfg):

@@ -55,6 +55,22 @@ def stage_requests(gateway, stage):
     return sum(stages.get(stage.value, {}).get("requests", 0) for stages in models.values())
 
 
+# The build child caches eval indexes under $XDG_CACHE_HOME, so no test reads or
+# writes the user's ~/.cache. Module-scoped fixtures are set up before a test's
+# own empty cache exists, and share one for the session.
+@pytest.fixture(scope="session", autouse=True)
+def fixtures_index_cache(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-fixtures")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def own_index_cache(tmp_path_factory, monkeypatch):
+    """An empty eval-index cache per test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+
+
 @pytest.fixture
 def gw_factory():
     """Build a mock-backed gateway whose backoff sleeps are no-ops."""

@@ -12,8 +12,10 @@ came before the config snapshot was written). Trial kinds, in turn:
 After the final resume the dataset (created_at aside) and the ledger rows equal
 an uninterrupted run's, the run dir holds only the files of a finished run,
 no build child of the trial is left, and every ledger holds each id once and
-no NUL byte. Trial i draws from Random(f"{SEED}:{i}"), so a longer sweep
-repeats the first trials exactly; set CRASH_SWEEP_TRIALS to run more than 10.
+no NUL byte. Each trial has an empty eval-index cache of its own, so every
+"index" trial kills a build that is really running. Trial i draws from
+Random(f"{SEED}:{i}"), so a longer sweep repeats the first trials exactly; set
+CRASH_SWEEP_TRIALS to run more than 10.
 """
 
 from __future__ import annotations
@@ -39,13 +41,19 @@ KINDS = ("c1", "c4", "resume", "index")
 RUN_DIR_FILES = ["config.json", "eval_index.bin", "ledgers", "report.json", "run.lock"]
 
 SRC = os.path.dirname(os.path.dirname(qaforge.__file__))
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+PYTHONPATH = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+
+def child_env():
+    """os.environ as it is now, so each trial's children use that trial's own index cache."""
+    return dict(os.environ, PYTHONPATH=PYTHONPATH)
+
 
 pytestmark = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="lists processes in /proc")
 
 
 def qaforge_cli(*args):
-    return subprocess.Popen([sys.executable, "-m", "qaforge", *map(str, args)], env=ENV,
+    return subprocess.Popen([sys.executable, "-m", "qaforge", *map(str, args)], env=child_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
 
 
@@ -99,20 +107,24 @@ def sweep(tmp_path_factory):
     with open(slow / "filler.jsonl", "a", encoding="utf-8") as fh:
         for _ in range(4000):
             fh.write(json.dumps({"text": " ".join(rng.choices(words, k=100))}) + "\n")
-    started = time.perf_counter()
-    child = subprocess.run([sys.executable, "-S", "-m", "qaforge.decontam", str(slow), "13",
-                            str(root / "slow.bin")], env=ENV)
-    build_s = time.perf_counter() - started
-    assert child.returncode == 0
-
     wall = {}
-    for concurrency in (1, 4):
-        ref = root / f"reference{concurrency}"
-        ref.mkdir()
+    # As in each trial, every build below starts from an empty index cache of its
+    # own, so build_s and the walls time real builds, not cache hits.
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("XDG_CACHE_HOME", str(root / "xdg"))
         started = time.perf_counter()
-        finish(qaforge_cli("run", "--config", write_config(bundle, ref, concurrency,
-                                                           bundle.eval_dir)))
-        wall[concurrency] = time.perf_counter() - started
+        child = subprocess.run([sys.executable, "-S", "-m", "qaforge.decontam", str(slow), "13",
+                                str(root / "slow.bin")], env=child_env())
+        build_s = time.perf_counter() - started
+        assert child.returncode == 0
+        for concurrency in (1, 4):
+            ref = root / f"reference{concurrency}"
+            ref.mkdir()
+            env.setenv("XDG_CACHE_HOME", str(ref / "xdg"))
+            started = time.perf_counter()
+            finish(qaforge_cli("run", "--config", write_config(bundle, ref, concurrency,
+                                                               bundle.eval_dir)))
+            wall[concurrency] = time.perf_counter() - started
     ref = root / "reference4"
     assert sorted(os.listdir(ref / "run")) == RUN_DIR_FILES
     return dict(bundle=bundle, slow=slow, build_s=build_s, wall=wall,

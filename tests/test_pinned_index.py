@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -12,6 +13,7 @@ import time
 import types
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from fixture_builder import build_fixture
 from test_pipeline import default_script, mini_config, prose
 
 from conftest import read_jsonl, write_jsonl
-from qaforge import cli, pipeline
+from qaforge import cli, decontam, pipeline
 from qaforge.config import load_config
 from qaforge.decontam import (
     INDEX_FILE,
@@ -678,3 +680,113 @@ def test_a_failed_index_build_ends_the_run(tmp_path, reference):
     assert report.funnel_consistent, report.funnel_problems
     assert ledger_rows(run_dir, "decontaminate") == reference["decontaminate"]
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+
+
+# The build child keeps a per-user cache of the indexes it builds, keyed on the
+# eval files, n and the code; conftest gives each test an empty one.
+
+
+def cache_files():
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "qaforge").glob("eval-index-*.bin"))
+
+
+def pinned_bytes(run_dir, eval_dir):
+    """The bytes of eval_index.bin once an IndexPin over a new run_dir has pinned it."""
+    run_dir.mkdir()
+    pin = IndexPin(str(run_dir), str(eval_dir), 13)
+    try:
+        assert poll_index(pin) is not None
+    finally:
+        pin.close()
+    return (run_dir / INDEX_FILE).read_bytes()
+
+
+def built_bytes(tmp_path, eval_dir):
+    """The bytes of eval_dir's index built in-process, with no cache."""
+    path = tmp_path / "plain.bin"
+    write_index(build_index_from_dir(str(eval_dir), 13), str(path))
+    return path.read_bytes()
+
+
+def test_a_second_run_on_the_same_eval_set_pins_the_cached_index(tmp_path, reference):
+    bundle = build_fixture(tmp_path / "fixture")
+    pinned = []
+    for name in ("first", "second"):
+        cfg = bundle.config()
+        cfg.run.run_dir, cfg.run.out = str(tmp_path / name), str(tmp_path / f"{name}.jsonl")
+        report = run_pipeline(cfg, gateway=counted_gateway(bundle)[1])
+        assert report.funnel_consistent, report.funnel_problems
+        assert sans_created_at(read_jsonl(cfg.run.out)) == reference["dataset"]
+        pinned.append((tmp_path / name / INDEX_FILE).read_bytes())
+        if name == "first":
+            (cache,) = cache_files()
+            first_inode = cache.stat().st_ino
+    assert pinned[0] == pinned[1] == built_bytes(tmp_path, bundle.eval_dir)
+    assert cache_files() == [cache] and cache.read_bytes() == pinned[0]
+    assert cache.stat().st_ino == first_inode  # the second child read it and wrote nothing
+
+
+@pytest.mark.parametrize("damage", ["header", "truncated"])
+def test_a_damaged_cache_file_is_rebuilt_and_overwritten(tmp_path, damage):
+    bundle = build_fixture(tmp_path / "fixture")
+    want = pinned_bytes(tmp_path / "first", bundle.eval_dir)
+    (cache,) = cache_files()
+    blob = bytearray(cache.read_bytes())
+    if damage == "header":
+        blob[:8] = b"NOTANIDX"
+    else:
+        del blob[-8:]
+    cache.write_bytes(bytes(blob))
+    assert pinned_bytes(tmp_path / "second", bundle.eval_dir) == want
+    assert cache_files() == [cache] and cache.read_bytes() == want
+
+
+def test_an_edited_eval_line_gets_its_own_cache_file(tmp_path):
+    bundle = build_fixture(tmp_path / "fixture")
+    old = pinned_bytes(tmp_path / "first", bundle.eval_dir)
+    path = sorted(bundle.eval_dir.glob("*.jsonl"))[0]
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    text = "an eval line edited to hold words no other eval text has"
+    path.write_text(json.dumps({"text": text}) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    new = pinned_bytes(tmp_path / "second", bundle.eval_dir)
+    assert len(cache_files()) == 2 and new != old
+    assert new == built_bytes(tmp_path, bundle.eval_dir)
+    for run, hit in (("first", False), ("second", True)):
+        index = read_index(str(tmp_path / run / INDEX_FILE), 13)
+        assert is_contaminated(text, "", index).contaminated is hit
+
+
+def test_an_eval_file_changed_during_the_build_is_not_cached(tmp_path, monkeypatch):
+    evals = tmp_path / "evals"
+    evals.mkdir()
+    write_jsonl(evals / "bench.jsonl", [{"text": "the eval text as it was keyed"}])
+    build = decontam.build_index_from_dir
+
+    def edit_then_build(eval_dir, n):
+        write_jsonl(evals / "bench.jsonl", [{"text": "the eval text as it was built"}])
+        return build(eval_dir, n)
+
+    monkeypatch.setattr(decontam, "build_index_from_dir", edit_then_build)
+    decontam._pin_index(str(evals), 13, str(tmp_path / INDEX_FILE))
+    assert (tmp_path / INDEX_FILE).read_bytes() == built_bytes(tmp_path, evals)
+    assert cache_files() == []
+
+
+def test_a_cache_home_that_is_a_file_leaves_a_plain_build(tmp_path, monkeypatch, reference):
+    home = tmp_path / "not-a-dir"
+    home.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    bundle = build_fixture(tmp_path / "fixture")
+    report = run_pipeline(bundle.config(), gateway=counted_gateway(bundle)[1])
+    assert report.funnel_consistent, report.funnel_problems
+    assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
+    pinned = (bundle.root / "run" / INDEX_FILE).read_bytes()
+    assert pinned == built_bytes(tmp_path, bundle.eval_dir)
+    assert home.read_bytes() == b""
+
+
+def test_the_cache_dir_is_private_to_its_user(tmp_path):
+    bundle = build_fixture(tmp_path / "fixture")
+    pinned_bytes(tmp_path / "run", bundle.eval_dir)
+    (cache,) = cache_files()
+    assert stat.S_IMODE(cache.parent.stat().st_mode) == 0o700

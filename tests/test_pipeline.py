@@ -1403,6 +1403,14 @@ def test_cli_config_root_that_is_not_a_mapping_is_fatal(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+def qaforge_subprocess(*args, cwd=None):
+    """`python -m qaforge ARGS` in a child process, with this qaforge first on its path."""
+    src = os.path.dirname(os.path.dirname(qaforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "qaforge", *map(str, args)], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("name, text, command", [
     pytest.param("deep.json", "[" * 200_000 + "]" * 200_000, ["run"], id="json"),
     pytest.param("deep.yaml", "a: " + "[" * 100_000 + "]" * 100_000, ["run"], id="yaml"),
@@ -1410,15 +1418,30 @@ def test_cli_config_root_that_is_not_a_mapping_is_fatal(tmp_path, monkeypatch, c
 ])
 def test_cli_config_nested_too_deeply_is_fatal(tmp_path, name, text, command):
     (tmp_path / name).write_text(text + "\n")
-    src = os.path.dirname(os.path.dirname(qaforge.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "qaforge", *command, "--config", name],
-                          cwd=tmp_path, env=env, stdin=subprocess.DEVNULL, capture_output=True,
-                          text=True, timeout=60)
+    proc = qaforge_subprocess(*command, "--config", name, cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert proc.stderr.count("error:") == 1 and f"error: cannot parse config {name}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_resume_whose_config_snapshot_is_nested_too_deeply_is_fatal(tmp_path):
+    cfg_path, _ = mini_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    run_dir = tmp_path / "run"
+    (run_dir / "config.json").write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    before = tree_bytes(run_dir)
+    proc = qaforge_subprocess("resume", "--run-dir", run_dir)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert proc.stderr.count("error:") == 1
+    assert f"error: cannot parse config snapshot {run_dir / 'config.json'}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert tree_bytes(run_dir) == before
 
 
 def test_an_empty_yaml_config_is_all_defaults(tmp_path):
