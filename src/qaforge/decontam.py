@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import stat
 import struct
 import sys
 import threading
@@ -277,6 +278,11 @@ class IndexPin:
 
 def _cache_file(eval_dir: str, n: int) -> str:
     """The cache file of eval_dir's index, keyed on the format, n, the Python, code and evals."""
+    root = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "qaforge")
+    os.makedirs(root, 0o700, exist_ok=True)  # the mode holds only for a dir made here, so:
+    st = os.lstat(root)  # a dir others can write to, or a symlink, may hold a planted index
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid() or st.st_mode & 0o077:
+        raise OSError(f"cache dir not private to this user: {root}")
     head = (b"%d" % INDEX_FORMAT_VERSION, b"%d" % n, sys.version.encode())  # its Unicode data
     key = hashlib.blake2b(b"".join(len(p).to_bytes(8, "big") + p for p in head), digest_size=16)
     for p in [__file__, os.path.join(os.path.dirname(__file__), "types.py"), *eval_paths(eval_dir)]:
@@ -284,8 +290,7 @@ def _cache_file(eval_dir: str, n: int) -> str:
             key.update(os.fstat(fh.fileno()).st_size.to_bytes(8, "big"))
             while chunk := fh.read(1 << 20):
                 key.update(chunk)
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    return os.path.join(base, "qaforge", f"eval-index-{key.hexdigest()}.bin")
+    return os.path.join(root, f"eval-index-{key.hexdigest()}.bin")
 
 
 def _pin_index(eval_dir: str, n: int, path: str) -> None:
@@ -298,7 +303,6 @@ def _pin_index(eval_dir: str, n: int, path: str) -> None:
     write_index(index, path)
     with suppress(OSError, IngestError):  # cached only if no eval file changed since it was keyed
         if _cache_file(eval_dir, n) == cache:
-            os.makedirs(os.path.dirname(cache), 0o700, exist_ok=True)
             write_index(index, cache)
 
 

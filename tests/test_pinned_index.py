@@ -790,3 +790,26 @@ def test_the_cache_dir_is_private_to_its_user(tmp_path):
     pinned_bytes(tmp_path / "run", bundle.eval_dir)
     (cache,) = cache_files()
     assert stat.S_IMODE(cache.parent.stat().st_mode) == 0o700
+
+
+@pytest.mark.parametrize("shared", ["open", "foreign", "symlink"])
+def test_a_cache_dir_that_others_can_change_is_not_used(tmp_path, monkeypatch, shared):
+    # A planted index with a valid header and 0 grams would screen nothing.
+    bundle = build_fixture(tmp_path / "fixture")
+    name = os.path.basename(decontam._cache_file(str(bundle.eval_dir), 13))
+    home = tmp_path / "home"
+    planted = home / "qaforge" if shared != "symlink" else tmp_path / "private"
+    planted.mkdir(parents=True)
+    home.mkdir(exist_ok=True)
+    write_index(decontam.NGramIndex(n=13), str(planted / name))
+    planted.chmod(0o777 if shared == "open" else 0o700)
+    if shared == "foreign":
+        if os.getuid() != 0:
+            pytest.skip("giving the dir to another user needs root")
+        os.chown(planted, 65534, -1)
+    elif shared == "symlink":
+        (home / "qaforge").symlink_to(planted)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    assert pinned_bytes(tmp_path / "run", bundle.eval_dir) == built_bytes(tmp_path, bundle.eval_dir)
+    assert os.listdir(planted) == [name]  # nothing was written there
+    assert read_index(str(planted / name), 13).grams == decontam.NGramIndex(n=13).grams
