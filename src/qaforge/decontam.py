@@ -9,9 +9,9 @@ eval side and the query side, so tiny benchmark items remain detectable.
 
 The index is one sorted array of 64-bit gram hashes, 8 bytes per gram,
 searched with bisect. A run pins it in its run dir (IndexPin): a pinned file is
-read when a run or resume starts; else the first verified candidate starts a
-child, `python -S -m qaforge.decontam EVAL_DIR N PATH`, which builds it once per
-eval set and code version, and then copies it from a per-user cache file.
+read when a run or resume starts; else the first verified candidate reads it
+from a per-user cache in the run's own process, or on a miss starts a child,
+`python -S -m qaforge.decontam EVAL_DIR N PATH`, to build and cache it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from array import array
 from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
+from glob import glob
 from itertools import accumulate, compress, islice
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
@@ -185,6 +186,8 @@ INDEX_FILE = "eval_index.bin"
 INDEX_FORMAT_VERSION = 1
 _INDEX_MAGIC = b"QAFIDX\0\0"
 _INDEX_HEADER = struct.Struct("<8sIIQQ")  # magic, version, n, source_count, gram count
+_TMP_FILE = re.compile(re.escape(INDEX_FILE) + r"\.([0-9]{1,9})\.tmp")  # write_index's, by pid
+CACHE_KEEP = 4  # the eval-index cache keeps this many most recently used indexes
 
 
 def write_index(index: NGramIndex, path: str) -> None:
@@ -224,17 +227,20 @@ def read_index(path: str, n: int) -> NGramIndex:
 class IndexPin:
     """The run's eval index, pinned in <run_dir>/eval_index.bin.
 
-    A pinned file is read here, before a run or resume makes any provider call.
-    Else the first index() call writes the empty index without an eval_dir, or
-    starts a child that builds it from eval_dir, or copies it from its cache,
-    and writes the file; the child is moved from the run's one CPU to cpus, the
-    caller's, to use the ones the run leaves idle. Every candidate of a run dir
-    is screened against the same grams, even if eval_dir changes.
+    A pinned file is read here, before a run or resume makes any provider call,
+    and tmp files whose writers no longer run are removed. Else the first index()
+    call writes the empty index without an eval_dir, or copies eval_dir's cached
+    index in the calling thread, or on a miss starts a child to build it, moved
+    to cpus, the caller's, to use the CPUs the run leaves idle. Every candidate
+    of a run dir is screened against the same grams, even if eval_dir changes.
     """
 
     def __init__(self, run_dir: str, eval_dir: Optional[str], n: int,
                  cpus: Optional[set[int]] = None):
         self.path, self.n, self._eval_dir = os.path.join(run_dir, INDEX_FILE), n, eval_dir
+        for name in os.listdir(run_dir):  # the caller holds the run dir's lock
+            if (tmp := _TMP_FILE.fullmatch(name)) and not _runs(int(tmp[1])):
+                os.remove(os.path.join(run_dir, name))
         self._index = read_index(self.path, n) if os.path.exists(self.path) else None
         self._cpus, self._child, self._error, self._lock = cpus, None, "", threading.Lock()
 
@@ -245,7 +251,14 @@ class IndexPin:
                 if not self._eval_dir:
                     write_index(NGramIndex(n=self.n), self.path)
                 elif self._child is None:
-                    import subprocess  # loaded here, as gateway.py loads its HTTP stack
+                    with suppress(OSError, IngestError, ConfigDriftError):  # else a miss: build
+                        cache = _cache_file(self._eval_dir, self.n)
+                        index = read_index(cache, self.n)
+                        os.utime(cache)  # the most recently used: the last to be evicted
+                        write_index(index, self.path)
+                        self._index = index
+                        return index
+                    import subprocess  # only on a miss, as gateway.py loads its HTTP stack
 
                     # -S skips the site-packages start-up, so the package root goes first
                     # on PYTHONPATH. close_fds (the default) keeps run.lock out of the child.
@@ -276,6 +289,13 @@ class IndexPin:
                 os.remove(f"{self.path}.{self._child.pid}.tmp")
 
 
+def _runs(pid: int) -> bool:
+    """Whether pid is a process this user may signal; signal 0 only checks."""
+    with suppress(OSError):  # none, or another user's, which wrote no file of ours
+        return os.kill(pid, 0) is None
+    return False
+
+
 def _cache_file(eval_dir: str, n: int) -> str:
     """The cache file of eval_dir's index, keyed on the format, n, the Python, code and evals."""
     root = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "qaforge")
@@ -294,16 +314,19 @@ def _cache_file(eval_dir: str, n: int) -> str:
 
 
 def _pin_index(eval_dir: str, n: int, path: str) -> None:
-    """IndexPin's child: copy eval_dir's cached index to path, or build, write and cache it."""
+    """IndexPin's child, started on a cache miss: build, write and cache eval_dir's index."""
     cache = ""
-    with suppress(OSError, IngestError, ConfigDriftError):  # unkeyed, missing or damaged: build
+    with suppress(OSError, IngestError):  # unkeyed: build all the same
         cache = _cache_file(eval_dir, n)
-        return write_index(read_index(cache, n), path)
     index = build_index_from_dir(eval_dir, n)
     write_index(index, path)
     with suppress(OSError, IngestError):  # cached only if no eval file changed since it was keyed
         if _cache_file(eval_dir, n) == cache:
             write_index(index, cache)
+            root = os.path.dirname(cache)  # and evict all but the CACHE_KEEP most recently used
+            used = [os.path.join(root, name) for name in glob("eval-index-*.bin", root_dir=root)]
+            for old in sorted(used, key=os.path.getmtime)[:-CACHE_KEEP]:
+                os.remove(old)
 
 
 if __name__ == "__main__":  # IndexPin's child: on failure, one `Type: message` line and exit 1

@@ -18,11 +18,12 @@ calling thread, and so every thread it starts, to the CPU that thread is on.
 A pinned eval index file is read then (decontam.IndexPin). A fresh run then
 writes config.json and starts the pool. A document runs its LLM phase (filter,
 classify, generate and verify per persona), then its screen (decontaminate,
-distill, records). Otherwise the first verified candidate starts the index build
-in a child process, on all of the caller's CPUs, in a resume as in a fresh run.
-Until the index is pinned, a document with verified candidates lets its text go
-and parks only its screen (the candidates and the max_chars cut), which is
-submitted again once it is pinned, with no ledger read and no provider call.
+distill, records). Otherwise the first verified candidate, in a resume as in a
+fresh run, reads the cached index, or starts the build child on all of the
+caller's CPUs. Until the index is pinned, a document with verified candidates
+lets its text go and parks only its screen (the candidates and the max_chars
+cut), which is submitted again once it is pinned, with no ledger read and no
+provider call.
 
 Output ordering is deterministic by construction. The window writes records
 in ingest order, so the dataset file is byte-identical across runs and across

@@ -682,8 +682,20 @@ def test_a_failed_index_build_ends_the_run(tmp_path, reference):
     assert sans_created_at(read_jsonl(bundle.root / "records.jsonl")) == reference["dataset"]
 
 
+def test_a_pin_removes_the_tmp_files_of_writers_that_no_longer_run(tmp_path):
+    reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+    reaped.wait()
+    names = [f"{INDEX_FILE}.{reaped.pid}.tmp", f"{INDEX_FILE}.{os.getpid()}.tmp",
+             f"{INDEX_FILE}.x.tmp", "notes.tmp"]
+    for name in names:
+        (tmp_path / name).write_bytes(b"QAFIDX")
+    IndexPin(str(tmp_path), None, 13).close()
+    assert sorted(os.listdir(tmp_path)) == sorted(names[1:])
+
+
 # The build child keeps a per-user cache of the indexes it builds, keyed on the
-# eval files, n and the code; conftest gives each test an empty one.
+# eval files, n and the code, and a run reads a cached index itself; conftest
+# gives each test an empty cache.
 
 
 def cache_files():
@@ -708,10 +720,12 @@ def built_bytes(tmp_path, eval_dir):
     return path.read_bytes()
 
 
-def test_a_second_run_on_the_same_eval_set_pins_the_cached_index(tmp_path, reference):
+def test_a_second_run_on_the_same_eval_set_pins_the_cached_index(tmp_path, monkeypatch,
+                                                                  reference):
     bundle = build_fixture(tmp_path / "fixture")
     pinned = []
     for name in ("first", "second"):
+        children = spawn_spy(monkeypatch)
         cfg = bundle.config()
         cfg.run.run_dir, cfg.run.out = str(tmp_path / name), str(tmp_path / f"{name}.jsonl")
         report = run_pipeline(cfg, gateway=counted_gateway(bundle)[1])
@@ -719,11 +733,47 @@ def test_a_second_run_on_the_same_eval_set_pins_the_cached_index(tmp_path, refer
         assert sans_created_at(read_jsonl(cfg.run.out)) == reference["dataset"]
         pinned.append((tmp_path / name / INDEX_FILE).read_bytes())
         if name == "first":
+            assert len(children) == 1
             (cache,) = cache_files()
             first_inode = cache.stat().st_ino
+    assert children == []  # the second run read the cache itself
     assert pinned[0] == pinned[1] == built_bytes(tmp_path, bundle.eval_dir)
     assert cache_files() == [cache] and cache.read_bytes() == pinned[0]
-    assert cache.stat().st_ino == first_inode  # the second child read it and wrote nothing
+    assert cache.stat().st_ino == first_inode  # the second run read it and wrote nothing
+
+
+def test_a_cache_hit_pins_at_the_first_index_call_with_no_child(tmp_path, monkeypatch):
+    bundle = build_fixture(tmp_path / "fixture")
+    pinned_bytes(tmp_path / "first", bundle.eval_dir)
+    children = spawn_spy(monkeypatch)
+    run_dir = tmp_path / "second"
+    run_dir.mkdir()
+    pin = IndexPin(str(run_dir), str(bundle.eval_dir), 13)
+    try:
+        index = pin.index()
+    finally:
+        pin.close()
+    assert index is not None and children == []
+    assert index == build_index_from_dir(str(bundle.eval_dir), 13)
+    assert (run_dir / INDEX_FILE).read_bytes() == built_bytes(tmp_path, bundle.eval_dir)
+    assert os.listdir(run_dir) == [INDEX_FILE]  # no tmp file left
+    assert pin.index() is index and children == []
+
+
+def test_the_cache_keeps_the_four_most_recently_used_indexes(tmp_path):
+    def eval_set(i):
+        evals = tmp_path / f"evals{i}"
+        evals.mkdir(exist_ok=True)
+        write_jsonl(evals / "bench.jsonl", [{"text": f"the text of eval set number {i}"}])
+        return evals
+
+    keys = [os.path.basename(decontam._cache_file(str(eval_set(i)), 13)) for i in range(6)]
+    for i in range(5):
+        pinned_bytes(tmp_path / f"run{i}", eval_set(i))
+    assert [p.name for p in cache_files()] == sorted(keys[1:5])  # the oldest is gone
+    pinned_bytes(tmp_path / "hit1", eval_set(1))  # a hit makes set 1 the most recently used
+    pinned_bytes(tmp_path / "run5", eval_set(5))
+    assert [p.name for p in cache_files()] == sorted([keys[1], *keys[3:6]])
 
 
 @pytest.mark.parametrize("damage", ["header", "truncated"])
